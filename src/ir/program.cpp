@@ -90,6 +90,19 @@ ObjectStore Program::make_store() const {
   return store;
 }
 
+ObjectStore Program::make_virtual_store() const {
+  ObjectStore store;
+  for (const auto& d : datasets_) {
+    mem::DataObject object;
+    object.name = d.object.name;
+    object.location = d.object.location;
+    object.virtual_bytes = d.object.virtual_bytes;
+    object.bar_remote = d.object.bar_remote;
+    store.emplace(std::move(object));
+  }
+  return store;
+}
+
 ObjectStore Program::make_sampled_store(double fraction) const {
   ISP_CHECK(fraction > 0.0 && fraction <= 1.0,
             "sample fraction out of (0,1]: " << fraction);

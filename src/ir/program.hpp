@@ -128,6 +128,10 @@ class Program {
   /// Fresh store populated with (copies of) the initial datasets.
   [[nodiscard]] ObjectStore make_store() const;
 
+  /// The initial datasets' names, locations and virtual sizes without their
+  /// payloads: everything a timing-only run reads.
+  [[nodiscard]] ObjectStore make_virtual_store() const;
+
   /// Store populated with sampled datasets scaled by `fraction` (§III-A).
   [[nodiscard]] ObjectStore make_sampled_store(double fraction) const;
 

@@ -8,17 +8,23 @@
 
 namespace isp::plan {
 
-std::vector<ir::LineEstimate> measure_true_estimates(
-    system::SystemModel& system, const ir::Program& program) {
+namespace {
+
+/// The functional host-only reference run: measured compute and the true
+/// volume of every line input and output.
+runtime::ExecutionReport reference_run(system::SystemModel& system,
+                                       const ir::Program& program) {
   runtime::EngineOptions options;
   options.monitoring = false;
   options.migration = false;
+  return runtime::run_program(system, program,
+                              ir::Plan::host_only(program.line_count()),
+                              codegen::ExecMode::NativeC, options);
+}
 
-  auto store = program.make_store();
-  const auto plan = ir::Plan::host_only(program.line_count());
-  const auto report = runtime::run_program(
-      system, program, plan, codegen::ExecMode::NativeC, options, &store);
-
+std::vector<ir::LineEstimate> estimates_from(
+    const system::SystemModel& system, const ir::Program& program,
+    const runtime::ExecutionReport& report) {
   const auto& cse = system.csd_device().cse();
   const double host_clock = system.host_cpu().config().clock.value();
 
@@ -46,6 +52,13 @@ std::vector<ir::LineEstimate> measure_true_estimates(
   return estimates;
 }
 
+}  // namespace
+
+std::vector<ir::LineEstimate> measure_true_estimates(
+    system::SystemModel& system, const ir::Program& program) {
+  return estimates_from(system, program, reference_run(system, program));
+}
+
 OracleResult exhaustive_oracle(system::SystemModel& system,
                                const ir::Program& program,
                                OracleOptions options) {
@@ -53,10 +66,14 @@ OracleResult exhaustive_oracle(system::SystemModel& system,
   ISP_CHECK(n <= options.max_lines,
             "program too large for exhaustive search: " << n << " lines");
 
-  const auto estimates = measure_true_estimates(system, program);
+  const auto reference = reference_run(system, program);
+  const auto estimates = estimates_from(system, program, reference);
 
   runtime::EngineOptions engine_options = options.engine;
-  engine_options.run_kernels = false;  // timing-only replays
+  // Timing-only replays, each output sized as the reference run measured it
+  // (a line's d_out estimate is the sum over all of its outputs).
+  engine_options.run_kernels = false;
+  engine_options.output_volumes = &reference.output_volumes;
   engine_options.monitoring = false;
   engine_options.migration = false;
 

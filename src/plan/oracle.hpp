@@ -4,8 +4,9 @@
 // reasonable combinations of single-entry-single-exit code regions on the
 // CSD (with the CSD fully dedicated) and keeps the combination with the
 // shortest measured end-to-end latency.  The oracle reproduces that: one
-// functional reference run collects true per-line volumes, then every one of
-// the 2^L placements is replayed timing-only and the fastest wins.
+// functional reference run measures every line's compute and the true size
+// of every line output, then every one of the 2^L placements is replayed
+// timing-only from those sizes and the fastest wins.
 #pragma once
 
 #include <cstdint>

@@ -38,7 +38,9 @@ struct RunConfig {
 };
 
 struct RunResult {
-  ExecutionReport report;        // the raw-input execution
+  /// The raw-input execution.  A functional run's report.output_volumes is
+  /// the measured table timing-only replays of the program size from.
+  ExecutionReport report;
   ir::Plan plan;                 // what Algorithm 1 decided
   profile::SampleSet samples;    // sampling-phase statistics
   plan::EstimateDiagnostics diagnostics;

@@ -96,8 +96,23 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
             "lowered program does not match program");
   const bool have_estimates =
       plan.estimate.size() == program.line_count();
-  ISP_CHECK(options.run_kernels || have_estimates,
-            "timing-only replay requires plan estimates for output sizes");
+  const OutputVolumes* volumes = options.output_volumes;
+  if (volumes != nullptr) {
+    ISP_CHECK(volumes->size() == program.line_count(),
+              "output-volume table needs one row per line: "
+                  << volumes->size() << " rows, " << program.line_count()
+                  << " lines");
+    for (std::size_t i = 0; i < program.line_count(); ++i) {
+      const auto& line = program.lines()[i];
+      ISP_CHECK((*volumes)[i].size() == line.outputs.size(),
+                "output-volume row of line '"
+                    << line.name << "' has " << (*volumes)[i].size()
+                    << " entries for " << line.outputs.size() << " outputs");
+    }
+  }
+  ISP_CHECK(options.run_kernels || have_estimates || volumes != nullptr,
+            "timing-only replay requires plan estimates or a measured "
+            "output-volume table for output sizes");
 
   system_->reset_stats();
   auto& host = system_->host_cpu();
@@ -108,7 +123,8 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
 
   ir::ObjectStore local_store;
   if (external_store == nullptr) {
-    local_store = program.make_store();
+    local_store = options.run_kernels ? program.make_store()
+                                      : program.make_virtual_store();
     external_store = &local_store;
   }
   ir::ObjectStore& store = *external_store;
@@ -744,12 +760,14 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
         rec.out_bytes += obj.virtual_bytes;
       }
     } else {
-      for (const auto& name : line.outputs) {
+      for (std::size_t k = 0; k < line.outputs.size(); ++k) {
         mem::DataObject obj;
-        obj.name = name;
+        obj.name = line.outputs[k];
         obj.location = local;
-        // Timing-only replay: output volumes come from the estimates.
-        obj.virtual_bytes = plan.estimate[i].d_out;
+        // Timing-only replay: the measured volume when the caller has a
+        // functional run's table, else the planner's estimate.
+        obj.virtual_bytes = volumes != nullptr ? (*volumes)[i][k]
+                                               : plan.estimate[i].d_out;
         rec.out_bytes += obj.virtual_bytes;
         store.emplace(std::move(obj));
       }
@@ -860,6 +878,14 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
 
   report.total = t - SimTime::zero();
   report.dma = dma.stats();
+  report.output_volumes.reserve(program.line_count());
+  for (const auto& line : program.lines()) {
+    auto& row = report.output_volumes.emplace_back();
+    row.reserve(line.outputs.size());
+    for (const auto& name : line.outputs) {
+      row.push_back(store.at(name).virtual_bytes);
+    }
+  }
   if (injector != nullptr) {
     report.faults = injector->summary();
     report.fault_records = injector->records();

@@ -17,7 +17,11 @@
 //   3. language-runtime marshalling copies (mode-dependent);
 //   4. compute, in chunks, through the CSE availability schedule; each CSD
 //      chunk posts a status update and feeds the monitor;
-//   5. the real kernel (functional output), then output bookkeeping.
+//   5. outputs: a functional run executes the real kernel and sizes each
+//      output from the payload it produced; a timing-only replay runs no
+//      kernel and takes each output's size from a measured OutputVolumes
+//      table (exact), or from the plan's estimates when the caller has no
+//      functional run.  Then output bookkeeping.
 // Migration takes effect at the end of the current line, exactly as §III-D
 // prescribes.
 #pragma once
@@ -50,9 +54,16 @@ struct ContentionTrigger {
 
 struct EngineOptions {
   codegen::RuntimeOverheadModel overhead;
-  /// Execute the real kernels (functional results). Off for timing-only
-  /// replays, which then require plan estimates for output sizes.
+  /// Execute the real kernels (functional results).  Off for timing-only
+  /// replays: the run starts from a payload-free store
+  /// (Program::make_virtual_store) and sizes every line output from
+  /// `output_volumes`, or, when that is null, from the plan's estimated
+  /// d_out — so a timing-only run needs one or the other.
   bool run_kernels = true;
+  /// Measured output volumes (ExecutionReport::output_volumes of a
+  /// functional run of the same program).  A timing-only replay sized from
+  /// this table reports exactly what the functional run would have.
+  const OutputVolumes* output_volumes = nullptr;
   /// Post status updates and run the monitor on CSD lines.
   bool monitoring = true;
   /// Act on the monitor's advice (off = "ActivePy w/o migration").

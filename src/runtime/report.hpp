@@ -61,6 +61,13 @@ struct StorageActivity {
   }
 };
 
+/// Virtual size of every line output: one row per program line, one entry
+/// per output in CodeRegion::outputs order.  Kernels compute the same
+/// payloads whatever the placement, faults, availability or backend, so the
+/// table one functional run measures sizes every timing-only replay of the
+/// program exactly (EngineOptions::output_volumes).
+using OutputVolumes = std::vector<std::vector<Bytes>>;
+
 struct ExecutionReport {
   std::string program;
   Seconds total;            // end-to-end latency, including compile overhead
@@ -88,6 +95,11 @@ struct ExecutionReport {
   /// the per-episode log behind it (bounded; feeds the trace export).
   fault::FaultSummary faults;
   std::vector<fault::FaultRecord> fault_records;
+
+  /// What every line output weighed in this run: the table timing-only
+  /// replays of the program size their outputs from.  Kept out of
+  /// to_json() and to_string(), which report the run's timing.
+  OutputVolumes output_volumes;
 
   [[nodiscard]] Seconds compute_total() const;
   [[nodiscard]] Seconds access_total() const;

@@ -29,7 +29,10 @@ struct Profile {
 
   ir::Program program;
   ir::Plan plan;           // Algorithm-1 plan, estimates attached
-  ir::Plan host_plan;      // all-host fallback plan
+  ir::Plan host_plan;      // all-host fallback plan (no estimates)
+  /// Output volumes the profiling run measured: dispatches replay the class
+  /// timing-only, every output sized from this table.
+  runtime::OutputVolumes output_volumes;
   Seconds host_work;       // planner's T_host
   Seconds csd_work;        // planner's T_csd
   Bytes ds_raw;            // stored input the host path pulls over the link
@@ -72,6 +75,7 @@ std::vector<std::shared_ptr<const Profile>> build_profiles(
         profile->plan = result.plan;
         profile->host_plan =
             ir::Plan::host_only(profile->program.line_count());
+        profile->output_volumes = result.report.output_volumes;
         profile->host_work = result.projected_host;
         profile->csd_work = result.projected_csd;
         const auto page_bytes =
@@ -152,6 +156,11 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
 
   runtime::RunConfig rc;
   rc.mode = config.mode;
+  // Timing-only: kernel outputs do not depend on placement, faults or the
+  // backend, so the class profile's measured volumes replay them exactly
+  // without copying payloads or running kernels.
+  rc.engine.run_kernels = false;
+  rc.engine.output_volumes = &profile.output_volumes;
   // Persisting classes drive the storage backend for real: datasets mount
   // as live mappings, outputs go through write()/zone_append, and the
   // backend-internal reclaim traffic stalls the device inside the measured

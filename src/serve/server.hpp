@@ -26,7 +26,10 @@
 // (device CSE availability rebased to the dispatch instant, link bandwidth
 // scaled to the contended share, per-job deterministic fault seed), so
 // monitoring, migration, fault handling and power-loss recovery all behave
-// exactly as they do in a single-job run.
+// exactly as they do in a single-job run.  The simulation is timing-only:
+// no kernel runs and no payload is copied.  Each line output is sized from
+// the output volumes the class's profiling run measured, which is exact
+// because kernel outputs do not depend on placement, faults or backend.
 //
 // Fleet failure domains (PR 6).  A CSD lane can die *permanently* at a
 // seed-deterministic virtual-time instant (fault::Site::DeviceFailure rate,

@@ -1,16 +1,19 @@
 // Property tests over the execution engine: determinism, monotonicity in
 // availability, conservation of link traffic, migration under injected
-// faults, and sampler structure.
+// faults, timing-only replays against functional runs, and sampler
+// structure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "baseline/baselines.hpp"
+#include "common/rng.hpp"
 #include "exec/pool.hpp"
 #include "profile/sampler.hpp"
 #include "runtime/active_runtime.hpp"
@@ -288,6 +291,193 @@ TEST_P(MigrationUnderFault, PreservesResultsAndAccountsVirtualTime) {
 // nvme_test.cpp); each shard sweeps the first-fault positions.
 INSTANTIATE_TEST_SUITE_P(SitesAndCuts, MigrationUnderFault,
                          ::testing::Range(1, 6));
+
+// ---------------------------------------------------------------------------
+// Timing plane vs functional plane.  Kernel outputs do not depend on
+// placement, faults, availability or backend, so a timing-only run sized
+// from one functional run's measured output volumes must report exactly
+// what the functional run of the same case reports: the same
+// ExecutionReport, fault log, storage activity and DMA books — for every
+// app, plan, fault seed and backend.
+
+struct ReplayCase {
+  std::string label;
+  ir::Plan plan;
+  runtime::EngineOptions options;
+  /// Run the variant whose last producing line persists its outputs.
+  bool persist = false;
+  flash::BackendKind backend = flash::BackendKind::Ftl;
+  /// The case must inject at least one fault (keeps the matrix honest).
+  bool must_fault = false;
+};
+
+/// Seeded random placement; keeps the planned estimates the monitor reads.
+ir::Plan random_plan(const ir::Plan& planned, std::uint64_t seed) {
+  Rng rng(seed);
+  ir::Plan plan = planned;
+  for (auto& p : plan.placement) {
+    p = rng.next_double() < 0.5 ? ir::Placement::Csd : ir::Placement::Host;
+  }
+  return plan;
+}
+
+std::vector<ReplayCase> replay_cases(const ir::Plan& planned) {
+  std::vector<ReplayCase> cases;
+  const auto add = [&](std::string label, ir::Plan plan) -> ReplayCase& {
+    auto& c = cases.emplace_back();
+    c.label = std::move(label);
+    c.plan = std::move(plan);
+    return c;
+  };
+  add("host-only", ir::Plan::host_only(planned.placement.size()));
+  add("algorithm-1", planned);
+  for (const std::uint64_t seed : {1, 2}) {
+    add("random plan " + std::to_string(seed), random_plan(planned, seed));
+  }
+  constexpr fault::Site kSites[] = {
+      fault::Site::FlashReadEcc, fault::Site::FlashProgram,
+      fault::Site::CseCrash, fault::Site::StatusLoss, fault::Site::PowerLoss};
+  ir::Plan all_csd = planned;
+  std::fill(all_csd.placement.begin(), all_csd.placement.end(),
+            ir::Placement::Csd);
+  for (std::size_t k = 0; k < std::size(kSites); ++k) {
+    const auto site = kSites[k];
+    // Flash sites see a handful of operations per run: fault every one,
+    // so retries exhaust and escalate too.
+    const double rate = site == fault::Site::FlashReadEcc ||
+                                site == fault::Site::FlashProgram
+                            ? 1.0
+                        : site == fault::Site::PowerLoss ? 0.05
+                                                         : 0.2;
+    for (const bool on_csd : {false, true}) {
+      auto& c = add("fault " + std::string(fault::to_string(site)) +
+                        (on_csd ? " all-csd" : " random plan"),
+                    on_csd ? all_csd : random_plan(planned, 10 + k));
+      c.persist = true;
+      c.must_fault = on_csd;
+      c.options.fault.seed = 100 + k;
+      c.options.fault.set_rate(site, rate);
+    }
+  }
+  for (const auto backend :
+       {flash::BackendKind::Ftl, flash::BackendKind::Zns}) {
+    auto& c = add("drive_storage " + std::string(flash::to_string(backend)),
+                  planned);
+    c.persist = true;
+    c.backend = backend;
+    c.options.drive_storage = true;
+  }
+  // Every line on the CSD, starved at 30% progress: the monitor migrates.
+  auto& contended = add("contention", all_csd);
+  contended.options.contention = runtime::ContentionTrigger{
+      .enabled = true, .at_csd_progress = 0.3, .availability = 0.05};
+  return cases;
+}
+
+void expect_same_report(const runtime::ExecutionReport& timing,
+                        const runtime::ExecutionReport& functional) {
+  EXPECT_EQ(timing.total.value(), functional.total.value());
+  EXPECT_EQ(timing.to_json(), functional.to_json());
+  EXPECT_EQ(timing.output_volumes, functional.output_volumes);
+
+  ASSERT_EQ(timing.fault_records.size(), functional.fault_records.size());
+  for (std::size_t i = 0; i < timing.fault_records.size(); ++i) {
+    const auto& a = timing.fault_records[i];
+    const auto& b = functional.fault_records[i];
+    EXPECT_EQ(a.site, b.site) << "fault record " << i;
+    EXPECT_EQ(a.time.seconds(), b.time.seconds()) << "fault record " << i;
+    EXPECT_EQ(a.faults, b.faults) << "fault record " << i;
+    EXPECT_EQ(a.exhausted, b.exhausted) << "fault record " << i;
+    EXPECT_EQ(a.penalty.value(), b.penalty.value()) << "fault record " << i;
+  }
+
+  const auto& sa = timing.storage;
+  const auto& sb = functional.storage;
+  EXPECT_EQ(sa.driven, sb.driven);
+  EXPECT_EQ(sa.backend, sb.backend);
+  EXPECT_EQ(sa.host_pages, sb.host_pages);
+  EXPECT_EQ(sa.reclaim_pages, sb.reclaim_pages);
+  EXPECT_EQ(sa.meta_pages, sb.meta_pages);
+  EXPECT_EQ(sa.resets, sb.resets);
+  EXPECT_EQ(sa.reclaim_events, sb.reclaim_events);
+  EXPECT_EQ(sa.write_amplification, sb.write_amplification);
+  EXPECT_EQ(sa.reclaim_time.value(), sb.reclaim_time.value());
+
+  EXPECT_EQ(timing.dma.bytes, functional.dma.bytes);
+  EXPECT_EQ(timing.dma.transfers, functional.dma.transfers);
+}
+
+class TimingReplayDifferential
+    : public ::testing::TestWithParam<std::string> {};
+
+// Each shard is one app; its cases fan out through exec::run_batch (fresh
+// SystemModel per run), with all assertions on the test thread afterwards.
+TEST_P(TimingReplayDifferential, MatchesFunctionalRun) {
+  apps::AppConfig config;
+  config.size_factor = 0.05;
+  const auto program = apps::make_app(GetParam(), config);
+  auto persisting = program;
+  for (std::size_t i = persisting.line_count(); i-- > 0;) {
+    if (!persisting.lines()[i].outputs.empty()) {
+      persisting.line_mut(i).writes_storage = true;
+      break;
+    }
+  }
+
+  // One functional pipeline run measures the table, as a serve class
+  // profile does; persisting changes no kernel, so it sizes both variants.
+  system::SystemModel reference_system;
+  const auto reference = runtime::ActiveRuntime(reference_system).run(program);
+  const auto& table = reference.report.output_volumes;
+
+  const auto cases = replay_cases(reference.plan);
+  const auto reports = exec::run_batch(
+      cases.size(),
+      [&](std::size_t i) {
+        const auto& c = cases[i];
+        const auto& p = c.persist ? persisting : program;
+        auto sc = system::SystemConfig::paper_platform();
+        sc.csd.backend = c.backend;
+
+        system::SystemModel functional_system(sc);
+        auto functional = runtime::run_program(
+            functional_system, p, c.plan, codegen::ExecMode::CompiledNoCopy,
+            c.options);
+
+        auto timing_options = c.options;
+        timing_options.run_kernels = false;
+        timing_options.output_volumes = &table;
+        system::SystemModel timing_system(sc);
+        auto timing = runtime::run_program(timing_system, p, c.plan,
+                                           codegen::ExecMode::CompiledNoCopy,
+                                           timing_options);
+        return std::make_pair(std::move(timing), std::move(functional));
+      },
+      std::max(2U, exec::default_jobs()));
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].label);
+    if (cases[i].must_fault) {
+      EXPECT_GT(reports[i].second.faults.total_injected(), 0u);
+    }
+    expect_same_report(reports[i].first, reports[i].second);
+  }
+}
+
+std::vector<std::string> registered_app_names() {
+  std::vector<std::string> names;
+  for (const auto& app : apps::all_apps()) names.push_back(app.name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, TimingReplayDifferential,
+    ::testing::ValuesIn(registered_app_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(Sampler, ProducesFourPointsPerLine) {
   const auto program = apps::make_app("tpch-q6", small());

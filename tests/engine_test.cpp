@@ -174,11 +174,21 @@ TEST(Engine, TimingOnlyReplayMatchesFunctionalRun) {
   const auto real = run_program(system, program, plan,
                                 codegen::ExecMode::NativeC, functional);
 
+  // Sized from the functional run's measured table: exact.
   auto replay_options = quiet_options();
   replay_options.run_kernels = false;
+  replay_options.output_volumes = &real.output_volumes;
   const auto replay = run_program(system, program, plan,
                                   codegen::ExecMode::NativeC, replay_options);
-  EXPECT_NEAR(replay.total.value(), real.total.value(),
+  EXPECT_EQ(replay.total.value(), real.total.value());
+  EXPECT_EQ(replay.to_json(), real.to_json());
+  EXPECT_EQ(replay.output_volumes, real.output_volumes);
+
+  // Sized from the plan's estimates (callers with no functional run).
+  replay_options.output_volumes = nullptr;
+  const auto estimated = run_program(
+      system, program, plan, codegen::ExecMode::NativeC, replay_options);
+  EXPECT_NEAR(estimated.total.value(), real.total.value(),
               real.total.value() * 0.01);
 }
 
@@ -191,6 +201,31 @@ TEST(Engine, TimingOnlyWithoutEstimatesRejected) {
   EXPECT_THROW(
       run_program(system, program, plan, codegen::ExecMode::NativeC, options),
       Error);
+
+  const auto real = run_program(system, program, plan,
+                                codegen::ExecMode::NativeC, quiet_options());
+  ASSERT_EQ(real.output_volumes.size(), 3u);
+
+  // A malformed table is a loud error: one row per line...
+  auto short_table = real.output_volumes;
+  short_table.pop_back();
+  options.output_volumes = &short_table;
+  EXPECT_THROW(
+      run_program(system, program, plan, codegen::ExecMode::NativeC, options),
+      Error);
+  // ...and one entry per output of the line.
+  auto wide_row = real.output_volumes;
+  wide_row[1].push_back(Bytes{4096});
+  options.output_volumes = &wide_row;
+  EXPECT_THROW(
+      run_program(system, program, plan, codegen::ExecMode::NativeC, options),
+      Error);
+
+  // A well-formed table stands in for the estimates an all-host plan lacks.
+  options.output_volumes = &real.output_volumes;
+  const auto replay =
+      run_program(system, program, plan, codegen::ExecMode::NativeC, options);
+  EXPECT_EQ(replay.to_json(), real.to_json());
 }
 
 TEST(Engine, ContentionStretchesCsdCompute) {

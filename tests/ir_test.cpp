@@ -139,6 +139,14 @@ TEST(Program, StoreHoldsDatasets) {
   EXPECT_TRUE(store.contains("input"));
   EXPECT_FALSE(store.contains("out"));
   EXPECT_EQ(store.at("input").physical.size_as<float>(), 256u);
+
+  // The timing-only store keeps names, locations and sizes, not payloads.
+  const auto virtual_store = program.make_virtual_store();
+  EXPECT_EQ(virtual_store.size(), store.size());
+  const auto& v = virtual_store.at("input");
+  EXPECT_EQ(v.location, store.at("input").location);
+  EXPECT_EQ(v.virtual_bytes, store.at("input").virtual_bytes);
+  EXPECT_TRUE(v.physical.empty());
 }
 
 TEST(Program, SampledStoreScalesBothSizes) {

@@ -2,12 +2,14 @@
 // and the exhaustive oracle.
 #include <gtest/gtest.h>
 
+#include "ir/builder.hpp"
 #include "plan/assignment.hpp"
 #include "plan/device_factor.hpp"
 #include "plan/equation1.hpp"
 #include "plan/estimates.hpp"
 #include "plan/oracle.hpp"
 #include "profile/sampler.hpp"
+#include "runtime/engine.hpp"
 #include "system/model.hpp"
 
 namespace isp::plan {
@@ -349,6 +351,50 @@ TEST(Oracle, MeasuredEstimatesMatchKernelBehaviour) {
   // The scan really produced ~5% of its input volume.
   EXPECT_NEAR(truth[0].d_out.as_double() / 4e9, 0.05, 0.005);
   EXPECT_GT(truth[0].instructions, 0.0);
+}
+
+TEST(Oracle, ReplaysEachOutputAtItsMeasuredVolume) {
+  // A two-output line (500 MB + 10 MB) feeding a consumer of the first
+  // output.  The line's d_out estimate sums both outputs, so a replay that
+  // sized each output from it would charge the consumer for 510 MB.
+  const auto program =
+      ir::ProgramBuilder("two-outputs", 128.0)
+          .storage_dataset("file", gigabytes(1.0), 1,
+                           [](mem::Buffer&, std::size_t) {})
+          .line("big, small = split(file)")
+          .reads("file")
+          .writes("big")
+          .writes("small")
+          .cycles_per_elem(2.0)
+          .kernel([](ir::KernelCtx& ctx) {
+            const double scale = ctx.virtual_scale();
+            ctx.output(0).physical.resize_elems<std::byte>(
+                static_cast<std::size_t>(500e6 / scale));
+            ctx.output(1).physical.resize_elems<std::byte>(
+                static_cast<std::size_t>(10e6 / scale));
+          })
+          .done()
+          .line("total = reduce(big)")
+          .reads("big")
+          .writes("total")
+          .cycles_per_elem(4.0)
+          .kernel([](ir::KernelCtx& ctx) {
+            ctx.output(0).physical.resize_elems<double>(1);
+          })
+          .done()
+          .build();
+
+  system::SystemModel system;
+  const auto oracle = exhaustive_oracle(system, program);
+
+  runtime::EngineOptions options;
+  options.monitoring = false;
+  options.migration = false;
+  system::SystemModel fresh;
+  const auto functional = runtime::run_program(
+      fresh, program, ir::Plan::host_only(program.line_count()),
+      codegen::ExecMode::NativeC, options);
+  EXPECT_EQ(oracle.host_only_latency.value(), functional.total.value());
 }
 
 TEST(Oracle, RefusesOversizedPrograms) {

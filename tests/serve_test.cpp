@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
@@ -1122,6 +1124,61 @@ TEST(FleetIndex, DoomedLaneNeverSchedulesAgain) {
   std::vector<bool> claimed(fleet.lane_count(), false);
   claimed[1] = true;
   EXPECT_EQ(fleet.next_free(claimed), SimTime::infinity());
+}
+
+
+// --- Golden digests: the served reference pinned across refactors --------
+
+/// A 4-device fleet plus one host lane serving all 10 registered apps at
+/// size_factor 0.03 with ECC, CSE-crash and status-loss faults armed.
+/// Variants: 0 FTL only; 1 mixed FTL/ZNS with an armed power-loss job;
+/// 2 persisting classes; 3 persisting classes plus a PowerLoss rate.
+serve::ServeConfig golden_config(int variant) {
+  serve::ServeConfig config;
+  config.fleet = serve::FleetConfig::make(
+      4, 1, 0.05,
+      variant == 0 ? serve::BackendMix::Ftl : serve::BackendMix::Mixed);
+  config.tenants = {serve::TenantConfig{.weight = 1.0, .queue_depth = 64}};
+  config.job_classes.clear();
+  for (const auto& app : apps::all_apps()) {
+    config.job_classes.push_back(serve::JobClass{
+        .app = app.name, .size_factor = 0.03, .persist = variant >= 2});
+  }
+  config.total_jobs = 40;
+  config.offered_load = 8.0;
+  config.jobs = 2;
+  config.fault.set_rate(fault::Site::FlashReadEcc, 0.01);
+  config.fault.set_rate(fault::Site::CseCrash, 0.01);
+  config.fault.set_rate(fault::Site::StatusLoss, 0.05);
+  if (variant == 1) {
+    config.power_loss_job = 5;
+    config.power_loss_after = 4;
+  }
+  if (variant == 3) config.fault.set_rate(fault::Site::PowerLoss, 0.005);
+  return config;
+}
+
+TEST(ServeGolden, DigestsMatchTheFunctionalReference) {
+  // Recorded with every dispatch running the real kernels on copied
+  // payloads (commit 492377c0dc49257feb43051e4a902fcdb1546a23): the
+  // timing-only dispatches must reproduce them bit for bit.
+  struct Golden {
+    std::uint64_t digest;
+    std::uint64_t metrics;
+  };
+  const Golden golden[] = {
+      {0xf3371c4d014e651eULL, 0x4e6314cc02051c3fULL},
+      {0xa7781b7a0acaaab6ULL, 0xd26acce18fc49b82ULL},
+      {0x25866dd142c09bb0ULL, 0x6cbf8b7a8396e8fcULL},
+      {0x5c53ab173d97e367ULL, 0x15ab317be03712cdULL},
+  };
+  for (int variant = 0; variant < 4; ++variant) {
+    SCOPED_TRACE("variant " + std::to_string(variant));
+    const auto report = serve::serve(golden_config(variant));
+    EXPECT_EQ(report.completed, report.total_jobs);
+    EXPECT_EQ(report.digest, golden[variant].digest);
+    EXPECT_EQ(report.metrics.digest(), golden[variant].metrics);
+  }
 }
 
 }  // namespace
