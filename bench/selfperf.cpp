@@ -9,11 +9,13 @@
 //   2. micro timings for the hot simulation kernels this PR optimised:
 //      AvailabilitySchedule queries (cursor + binary search) and the FTL
 //      write/remount path (reserved journal buffers, allocation hint,
-//      reused recovery scratch);
+//      chunked recovery maps);
 //   3. the storage data plane: page-at-a-time write() vs the extent
 //      write_span() fast path on both backends, with a hard exact-equality
 //      gate (same mappings, same stats) — the span contract is bit-for-bit
-//      equivalence, so any divergence fails the bench.
+//      equivalence, so any divergence fails the bench;
+//   4. device constructions/sec for each backend at the default geometry
+//      (informational, not gated).
 // `--quick` shrinks every workload for CI; rates are still exported.
 // Results are printed and exported to results/BENCH_selfperf.json so runs
 // are comparable across machines and revisions.
@@ -118,7 +120,7 @@ double availability_queries_per_sec(int kQueries) {
 
 /// FTL kernel: journalled writes with overwrites (exercises GC, the journal
 /// buffers and the allocation hint), then repeated power cycles (exercises
-/// the reused recovery scratch).
+/// the chunked recovery maps).
 struct FtlRates {
   double writes_per_sec = 0.0;
   double remounts_per_sec = 0.0;
@@ -276,6 +278,48 @@ SpanRates zns_span_rates(std::uint64_t passes) {
   return span_rates([config] { return zns::ZnsDevice(config); }, passes);
 }
 
+/// Device construction: what every served dispatch pays for a fresh
+/// backend, at the default 524,288-page geometry with the journal on (as
+/// CsdDevice builds it).  Best of passes, like the fill rates.
+/// Informational: no gate.
+struct ConstructRates {
+  double ftl_per_sec = 0.0;
+  double zns_per_sec = 0.0;
+};
+
+template <typename MakeDevice>
+double constructions_per_sec(MakeDevice make, std::uint64_t passes,
+                             std::uint64_t& sink) {
+  constexpr int kPerPass = 32;
+  double best = 1e9;
+  for (std::uint64_t p = 0; p < passes; ++p) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kPerPass; ++i) {
+      const auto dev = make();
+      sink += dev.logical_pages();
+    }
+    best = std::min(best, elapsed_seconds(t0));
+  }
+  return kPerPass / best;
+}
+
+ConstructRates construct_rates(std::uint64_t passes) {
+  using namespace isp;
+  flash::FtlConfig ftl;
+  ftl.journal.enabled = true;
+  zns::ZnsConfig zns;
+  zns.journal.enabled = true;
+  std::uint64_t sink = 0;
+  ConstructRates rates;
+  rates.ftl_per_sec = constructions_per_sec(
+      [ftl] { return flash::Ftl(ftl); }, passes, sink);
+  rates.zns_per_sec = constructions_per_sec(
+      [zns] { return zns::ZnsDevice(zns); }, passes, sink);
+  std::printf("  (construction checksum %llu)\n",
+              static_cast<unsigned long long>(sink));
+  return rates;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -348,6 +392,14 @@ int main(int argc, char** argv) {
   std::printf("%-28s %10s\n", "ZNS span == scalar (exact)",
               zns_span.identical ? "PASS" : "FAIL");
 
+  bench::print_header(
+      "Device construction at the default geometry (informational)");
+  const auto construct = construct_rates(kSpanPasses);
+  std::printf("%-28s %12.0f devices/s\n", "FTL construct",
+              construct.ftl_per_sec);
+  std::printf("%-28s %12.0f devices/s\n", "ZNS construct",
+              construct.zns_per_sec);
+
   std::filesystem::create_directories("results");
   const std::string path = "results/BENCH_selfperf.json";
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {
@@ -385,7 +437,9 @@ int main(int argc, char** argv) {
                  "    \"zns_scalar_pages_per_sec\": %.0f,\n"
                  "    \"zns_span_pages_per_sec\": %.0f,\n"
                  "    \"zns_span_speedup\": %.4f,\n"
-                 "    \"zns_span_equals_scalar\": %s\n"
+                 "    \"zns_span_equals_scalar\": %s,\n"
+                 "    \"ftl_constructions_per_sec\": %.0f,\n"
+                 "    \"zns_constructions_per_sec\": %.0f\n"
                  "  }\n"
                  "}\n",
                  identical ? "true" : "false", quick ? "true" : "false",
@@ -393,7 +447,8 @@ int main(int argc, char** argv) {
                  ftl_span.scalar_pages_per_sec, ftl_span.span_pages_per_sec,
                  ftl_span.speedup(), ftl_span.identical ? "true" : "false",
                  zns_span.scalar_pages_per_sec, zns_span.span_pages_per_sec,
-                 zns_span.speedup(), zns_span.identical ? "true" : "false");
+                 zns_span.speedup(), zns_span.identical ? "true" : "false",
+                 construct.ftl_per_sec, construct.zns_per_sec);
     std::fclose(f);
     std::printf("\nwrote %s\n", path.c_str());
   } else {

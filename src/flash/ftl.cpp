@@ -61,8 +61,10 @@ Ftl::Ftl(FtlConfig config) : config_(config) {
                 << logical_blocks << " logical blocks + 2 active + "
                 << config_.gc_high_watermark << " watermark > "
                 << g.total_blocks() << " total");
-  l2p_.assign(logical_pages_, kNoPage);
-  p2l_.assign(physical_pages, kNoPage);
+  // The page maps start empty (every entry reads as its sentinel) and
+  // allocate chunks as pages are written: construction is O(blocks).
+  l2p_ = PageMap<Ppn>(logical_pages_, kNoPage);
+  p2l_ = PageMap<Lpn>(physical_pages, kNoPage);
   blocks_.assign(g.total_blocks(), Block{});
   retired_.assign(g.total_blocks(), 0);
   free_count_ = static_cast<std::uint32_t>(g.total_blocks());
@@ -74,8 +76,9 @@ Ftl::Ftl(FtlConfig config) : config_(config) {
   block_max_seq_.assign(g.total_blocks(), 0);
   block_programmed_.assign(g.total_blocks(), 0);
   if (config_.journal.enabled) {
-    media_.assign(physical_pages, std::nullopt);
-    checkpoint_.assign(logical_pages_, kNoPage);
+    media_ = PageMap<Oob>(physical_pages, Oob{});
+    checkpoint_ = PageMap<Ppn>(logical_pages_, kNoPage);
+    recover_scratch_ = PageMap<Candidate>(logical_pages_, Candidate{});
     // The buffers cycle at fixed sizes: one page of entries in the open
     // journal page, at most checkpoint_interval_pages of durable entries
     // before a fold clears them.  Reserve once instead of regrowing on the
@@ -160,8 +163,9 @@ void Ftl::flush_journal_page_if_full() {
 }
 
 void Ftl::fold_checkpoint() {
-  // Snapshot the whole map; the old checkpoint + journal region is then
-  // recycled (erased) and a fresh journal starts empty.
+  // Snapshot the whole map (a PageMap copy copies only the chunks the map
+  // has touched); the old checkpoint + journal region is then recycled
+  // (erased) and a fresh journal starts empty.
   checkpoint_ = l2p_;
   checkpoint_seq_ = seq_;
   const auto page = config_.geometry.page_bytes.count();
@@ -178,19 +182,20 @@ void Ftl::fold_checkpoint() {
   journal_buf_.clear();
   journal_pages_since_fold_ = 0;
   last_durable_seq_ = checkpoint_seq_;
+  rescue_horizon_ = kNoSeq;
   // The checkpoint now covers everything: the dirty extent (the scope of
   // incremental remount verification) restarts empty.
   bits_clear_all(dirty_bits_);
 }
 
 void Ftl::install_mapping(Lpn lpn, Ppn ppn, bool for_gc) {
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
+  l2p_.set(lpn, ppn);
+  p2l_.set(ppn, lpn);
   bit_set(valid_bits_, ppn);
   ++blocks_[page_block(ppn)].valid;
   const std::uint64_t seq = ++seq_;
   if (config_.journal.enabled) {
-    media_[ppn] = Oob{lpn, seq};
+    media_.set(ppn, Oob{lpn, seq});
     block_max_seq_[page_block(ppn)] = seq;
     journal_append(lpn, ppn, seq);
   }
@@ -204,7 +209,7 @@ void Ftl::write(Lpn lpn) {
   // for the invalidation itself: validity is derived from the newest
   // mapping during recovery.
   if (const Ppn old = l2p_[lpn]; old != kNoPage) {
-    p2l_[old] = kNoPage;
+    p2l_.erase(old);
     bit_clear(valid_bits_, old);
     Block& blk = blocks_[page_block(old)];
     ISP_DCHECK(blk.valid > 0, "valid-count underflow");
@@ -250,6 +255,11 @@ void Ftl::write_span(Lpn first, std::uint64_t count) {
           run, journal_entries_per_page() - journal_buf_.size());
     }
     const Ppn start = block_first_page(active_block_) + blk.next_free_page;
+    // The run also stops at a page-map chunk boundary in either space, so
+    // each map's slice of it is one contiguous array (an early stop changes
+    // nothing: the next pass resumes the bulk regime).
+    run = std::min({run, PageMap<Ppn>::chunk_room(lpn),
+                    PageMap<Lpn>::chunk_room(start)});
     // The freshly-programmed pages form one contiguous PPN run: their valid
     // bits go in with whole-word masks and the journal tail is sized once.
     // An old mapping invalidated below can never land inside
@@ -261,9 +271,11 @@ void Ftl::write_span(Lpn first, std::uint64_t count) {
       journal_buf_.resize(jbase + run);
     }
     const Lpn lpn0 = lpn;
+    Ppn* const fwd = l2p_.slots(lpn0, run);
+    Lpn* const rev = p2l_.slots(start, run);
     for (std::uint64_t i = 0; i < run; ++i, ++lpn) {
-      if (const Ppn old = l2p_[lpn]; old != kNoPage) {
-        p2l_[old] = kNoPage;
+      if (const Ppn old = fwd[i]; old != kNoPage) {
+        p2l_.erase(old);
         bit_clear(valid_bits_, old);
         Block& ob = blocks_[page_block(old)];
         ISP_DCHECK(ob.valid > 0, "valid-count underflow");
@@ -271,15 +283,16 @@ void Ftl::write_span(Lpn first, std::uint64_t count) {
       } else {
         ++mapped_count_;
       }
-      l2p_[lpn] = start + i;
-      p2l_[start + i] = lpn;
+      fwd[i] = start + i;
+      rev[i] = lpn;
     }
     if (journal) {
       // Second pass: lpn, ppn and seq all advance by one per page, so the
       // OOB stamps and journal tail are straight sequential fills.
+      Oob* const oob = media_.slots(start, run);
       for (std::uint64_t i = 0; i < run; ++i) {
         const std::uint64_t seq = seq_ + i + 1;
-        media_[start + i] = Oob{lpn0 + i, seq};
+        oob[i] = Oob{lpn0 + i, seq};
         journal_buf_[jbase + i] = JournalEntry{lpn0 + i, start + i, seq};
       }
     }
@@ -310,12 +323,12 @@ std::optional<Ppn> Ftl::translate(Lpn lpn) const {
 
 void Ftl::trim_one(Lpn lpn) {
   if (const Ppn old = l2p_[lpn]; old != kNoPage) {
-    p2l_[old] = kNoPage;
+    p2l_.erase(old);
     bit_clear(valid_bits_, old);
     Block& blk = blocks_[page_block(old)];
     ISP_DCHECK(blk.valid > 0, "valid-count underflow");
     --blk.valid;
-    l2p_[lpn] = kNoPage;
+    l2p_.erase(lpn);
     --mapped_count_;
     journal_append(lpn, kTrimMark, ++seq_);
   }
@@ -359,7 +372,7 @@ void Ftl::relocate_block(std::uint64_t block) {
         const Lpn lpn = p2l_[src];
         ISP_DCHECK(lpn != kNoPage, "valid bit set on unmapped page");
         const Ppn dst = append_to_active(/*for_gc=*/true);
-        p2l_[src] = kNoPage;
+        p2l_.erase(src);
         bit_clear(valid_bits_, src);
         --blocks_[block].valid;
         install_mapping(lpn, dst, /*for_gc=*/true);
@@ -369,11 +382,9 @@ void Ftl::relocate_block(std::uint64_t block) {
 }
 
 void Ftl::erase_block_media(std::uint64_t block) {
-  if (!media_.empty()) {
+  if (config_.journal.enabled) {
     const Ppn first = block_first_page(block);
-    for (std::uint32_t p = 0; p < config_.geometry.pages_per_block; ++p) {
-      media_[first + p] = std::nullopt;
-    }
+    media_.fill(first, first + config_.geometry.pages_per_block, Oob{});
   }
   block_max_seq_[block] = 0;
   block_programmed_[block] = 0;
@@ -470,8 +481,8 @@ FtlCrash Ftl::power_loss() {
   // Everything volatile is gone.  The durable state — media OOB, programmed
   // journal pages, the checkpoint, and the bad-block table — survives.
   journal_buf_.clear();
-  l2p_.assign(logical_pages_, kNoPage);
-  p2l_.assign(media_.size(), kNoPage);
+  l2p_.clear();
+  p2l_.clear();
   for (auto& b : blocks_) b = Block{};
   bits_clear_all(free_bits_);
   bits_clear_all(full_bits_);
@@ -491,24 +502,27 @@ FtlRecovery Ftl::recover() {
   const auto pages_per_block = config_.geometry.pages_per_block;
 
   // 1. Candidate map from the checkpoint, each entry stamped with the fold
-  //    sequence (everything in the checkpoint is at least that old).
-  //    recover_scratch_ keeps its capacity across remounts, so power-cycle
-  //    sweeps pay the logical_pages-sized allocation only once.
-  recover_scratch_.assign(logical_pages_, std::nullopt);
+  //    sequence (everything in the checkpoint is at least that old).  Only
+  //    the checkpoint's present chunks are walked.  The candidate map is
+  //    reset in place, so repeated power cycles refill the chunks it
+  //    already holds.
+  recover_scratch_.fill(0, logical_pages_, Candidate{});
   auto& m = recover_scratch_;
-  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (checkpoint_[lpn] != kNoPage) {
-      m[lpn] = {checkpoint_[lpn], checkpoint_seq_};
-    }
-  }
+  checkpoint_.for_each(
+      [&](Lpn lpn, Ppn ppn) { m.set(lpn, Candidate{ppn, checkpoint_seq_}); });
   rec.checkpoint_pages_read = checkpoint_pages_;
 
-  // 2. Replay the durable journal in order.
+  // 2. Replay the durable journal in order.  Each trim's sequence is kept
+  //    as a tombstone: when the scan below reaches back past the journal's
+  //    horizon (after an earlier remount, see rescue_horizon_), it must not
+  //    resurrect an older page that a durable trim already superseded.
+  PageMap<std::uint64_t> tombstone(logical_pages_, 0);
   for (const auto& e : journal_) {
     if (e.ppn == kTrimMark) {
-      m[e.lpn] = std::nullopt;
+      m.erase(e.lpn);
+      tombstone.set(e.lpn, e.seq);  // journal sequences ascend
     } else {
-      m[e.lpn] = {e.ppn, e.seq};
+      m.set(e.lpn, Candidate{e.ppn, e.seq});
     }
   }
   rec.journal_entries_replayed = journal_.size();
@@ -523,38 +537,35 @@ FtlRecovery Ftl::recover() {
   //    erase), so the candidate set is found without touching page OOB.
   //    The scan itself rescues the journal's volatile tail: every data-page
   //    program stamped its lpn+seq on the media.
+  const std::uint64_t horizon = std::min(last_durable_seq_, rescue_horizon_);
   for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-    if (block_max_seq_[b] <= last_durable_seq_) continue;
+    if (block_max_seq_[b] <= horizon) continue;
     const Ppn first = block_first_page(b);
     ++rec.blocks_scanned;
     rec.pages_scanned += pages_per_block;
     for (std::uint32_t p = 0; p < pages_per_block; ++p) {
       const Ppn ppn = first + p;
-      const auto& oob = media_[ppn];
-      if (!oob || oob->seq <= last_durable_seq_) continue;
-      if (!m[oob->lpn] || oob->seq > m[oob->lpn]->second) {
-        m[oob->lpn] = {ppn, oob->seq};
+      // Unprogrammed pages read seq 0, never past the horizon.
+      const Oob oob = media_[ppn];
+      if (oob.seq <= horizon) continue;
+      if (oob.seq <= tombstone[oob.lpn]) continue;  // durably trimmed
+      const Candidate c = m[oob.lpn];
+      if (c.ppn == kNoPage || oob.seq > c.seq) {
+        m.set(oob.lpn, Candidate{ppn, oob.seq});
         ++rec.tail_updates_rescued;
       }
     }
   }
+  // The rescued updates live only in their OOB stamps until the next fold
+  // checkpoints them: journal pages programmed after this remount must not
+  // move a later remount's scan horizon past them.
+  if (rec.tail_updates_rescued > 0) rescue_horizon_ = horizon;
 
-  // 4. Confirm every candidate against the media: a mapping whose physical
-  //    page was erased (its relocation entry sat in the lost tail) is
-  //    stale — the OOB scan already supplied the newer location.
-  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const Ppn ppn = m[lpn]->first;
-    if (!media_[ppn] || media_[ppn]->lpn != lpn) {
-      m[lpn] = std::nullopt;
-      ++rec.stale_mappings_dropped;
-    }
-  }
-
-  // 5. Rebuild the volatile state: forward/reverse map, per-block append
-  //    pointers, valid counts, and the free pool.  The append pointer is
-  //    the durable programmed-prefix header — identical to the old per-page
-  //    media scan because programs land strictly prefix-ordered.
+  // 4. Rebuild the volatile state: per-block append pointers, then the
+  //    forward/reverse map and valid counts, then the free pool.  The
+  //    append pointer is the durable programmed-prefix header — identical
+  //    to the old per-page media scan because programs land strictly
+  //    prefix-ordered.
   for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
     Block nb;
     if (retired_[b]) {
@@ -567,16 +578,22 @@ FtlRecovery Ftl::recover() {
     nb.is_free = (nb.next_free_page == 0);
     blocks_[b] = nb;
   }
+  // Each candidate is confirmed against the media before it is installed:
+  // a mapping whose physical page was erased (its relocation entry sat in
+  // the lost tail) is stale — the OOB scan already supplied the newer
+  // location.
   mapped_count_ = 0;
-  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const Ppn ppn = m[lpn]->first;
-    l2p_[lpn] = ppn;
-    p2l_[ppn] = lpn;
-    bit_set(valid_bits_, ppn);
-    ++blocks_[page_block(ppn)].valid;
+  m.for_each([&](Lpn lpn, Candidate c) {
+    if (media_[c.ppn].seq == 0 || media_[c.ppn].lpn != lpn) {
+      ++rec.stale_mappings_dropped;
+      return;
+    }
+    l2p_.set(lpn, c.ppn);
+    p2l_.set(c.ppn, lpn);
+    bit_set(valid_bits_, c.ppn);
+    ++blocks_[page_block(c.ppn)].valid;
     ++mapped_count_;
-  }
+  });
   rec.mappings_recovered = mapped_count_;
   free_count_ = 0;
   for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
@@ -589,7 +606,7 @@ FtlRecovery Ftl::recover() {
     }
   }
 
-  // 6. Re-open the partially written blocks as the append points so they
+  // 5. Re-open the partially written blocks as the append points so they
   //    are not stranded (GC only reclaims full blocks).  Normal operation
   //    leaves at most two partial blocks (host + GC append); if recovery
   //    somehow finds more, compact the extras away.
@@ -652,20 +669,23 @@ void Ftl::check_invariants() const {
   const auto pages_per_block = config_.geometry.pages_per_block;
 
   // l2p / p2l are mutually consistent bijections on their valid domain.
+  // Both walks visit only the maps' present chunks; the valid-page bitmap
+  // matches p2l exactly when every reverse-mapped page has its bit and no
+  // other bit is set.
   std::uint64_t mapped = 0;
-  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (const Ppn ppn = l2p_[lpn]; ppn != kNoPage) {
-      ISP_CHECK(ppn < p2l_.size(), "ppn out of range");
-      ISP_CHECK(p2l_[ppn] == lpn, "reverse map disagrees for lpn " << lpn);
-      ++mapped;
-    }
-  }
+  l2p_.for_each([&](Lpn lpn, Ppn ppn) {
+    ISP_CHECK(ppn < p2l_.size(), "ppn out of range");
+    ISP_CHECK(p2l_[ppn] == lpn, "reverse map disagrees for lpn " << lpn);
+    ++mapped;
+  });
   std::uint64_t reverse_mapped = 0;
-  for (Ppn ppn = 0; ppn < p2l_.size(); ++ppn) {
-    ISP_CHECK(bit_test(valid_bits_, ppn) == (p2l_[ppn] != kNoPage),
+  p2l_.for_each([&](Ppn ppn, Lpn) {
+    ISP_CHECK(bit_test(valid_bits_, ppn),
               "valid-page bitmap drift at ppn " << ppn);
-    if (p2l_[ppn] != kNoPage) ++reverse_mapped;
-  }
+    ++reverse_mapped;
+  });
+  ISP_CHECK(bits_count(valid_bits_, 0, p2l_.size()) == reverse_mapped,
+            "valid-page bitmap drift: bits set on unmapped pages");
   ISP_CHECK(mapped == reverse_mapped, "map cardinality mismatch");
   ISP_CHECK(mapped == mapped_count_, "mapped-count bookkeeping mismatch");
 
@@ -680,9 +700,9 @@ void Ftl::check_invariants() const {
     std::uint32_t programmed = 0;
     for (std::uint32_t p = 0; p < pages_per_block; ++p) {
       if (p2l_[block_first_page(b) + p] != kNoPage) ++valid;
-      if (!media_.empty()) {
-        if (const auto& oob = media_[block_first_page(b) + p]) {
-          max_seq = std::max(max_seq, oob->seq);
+      if (config_.journal.enabled) {
+        if (const Oob oob = media_[block_first_page(b) + p]; oob.seq != 0) {
+          max_seq = std::max(max_seq, oob.seq);
           programmed = p + 1;
         }
       }
@@ -695,7 +715,7 @@ void Ftl::check_invariants() const {
                   (!blocks_[b].is_free && !retired_[b] &&
                    blocks_[b].next_free_page == pages_per_block),
               "full-block bitset drift at block " << b);
-    if (!media_.empty()) {
+    if (config_.journal.enabled) {
       ISP_CHECK(block_max_seq_[b] == max_seq,
                 "block " << b << " max-seq header drift");
       if (!retired_[b]) {
@@ -795,8 +815,8 @@ void Ftl::check_invariants_incremental() const {
       if (const Lpn lpn = p2l_[ppn]; lpn != kNoPage) {
         ISP_CHECK(l2p_[lpn] == ppn, "reverse map disagrees for lpn " << lpn);
       }
-      if (!media_.empty() && !retired_[b]) {
-        ISP_CHECK(media_[ppn].has_value() == (p < block_programmed_[b]),
+      if (config_.journal.enabled && !retired_[b]) {
+        ISP_CHECK((media_[ppn].seq != 0) == (p < block_programmed_[b]),
                   "block " << b << " programmed pages are not a prefix");
       }
     }

@@ -29,6 +29,13 @@
 // of scanning every page.  All of it is bit-for-bit equivalent to the scalar
 // page-by-page paths — the win is algorithmic, not semantic.
 //
+// Memory: every page-indexed array (l2p, p2l, media OOB, checkpoint) is a
+// flash::PageMap of sentinel-coded words (kNoPage = unmapped; an OOB stamp
+// with seq == 0 = never programmed, since sequences are pre-incremented and
+// every program stamps seq >= 1).  A PageMap allocates a chunk on its first
+// store, so a fresh device holds only its O(blocks) arrays and bitsets and
+// grows with the extents it writes; power_loss() frees the volatile maps.
+//
 // Invariants (enforced and property-tested):
 //   * a logical page maps to at most one valid physical page;
 //   * no two logical pages share a physical page;
@@ -44,6 +51,7 @@
 #include "common/units.hpp"
 #include "flash/backend.hpp"
 #include "flash/nand.hpp"
+#include "flash/page_map.hpp"
 
 namespace isp::obs {
 class MetricsRegistry;
@@ -53,12 +61,6 @@ namespace isp::flash {
 
 /// Pre-seam name for the shared journal knobs (flash/backend.hpp).
 using FtlJournalConfig = JournalConfig;
-
-/// "No mapping" sentinel for the flat l2p/p2l/checkpoint arrays.  The maps
-/// are the data plane's hottest stores; a flat word with an impossible page
-/// number is half the width of std::optional and keeps the fill loops to
-/// plain 8-byte traffic.  No device geometry reaches 2^64 - 1 pages.
-inline constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
 struct FtlConfig {
   NandGeometry geometry;
@@ -204,6 +206,15 @@ class Ftl final : public StorageBackend {
   /// full sweep); public so tests can prove the two modes agree.
   void check_invariants_incremental() const;
 
+  /// Allocated PageMap chunks: in the forward map alone, and summed over
+  /// every page-indexed map (l2p, p2l, media, checkpoint).  A fresh device
+  /// holds none.
+  [[nodiscard]] std::uint64_t l2p_chunks() const { return l2p_.chunks(); }
+  [[nodiscard]] std::uint64_t map_chunks() const {
+    return l2p_.chunks() + p2l_.chunks() + media_.chunks() +
+           checkpoint_.chunks();
+  }
+
  private:
   struct Block {
     std::uint32_t valid = 0;
@@ -213,9 +224,21 @@ class Ftl final : public StorageBackend {
 
   /// OOB metadata stamped on every programmed data page (durable until the
   /// block is erased): which logical page it holds and when it was written.
+  /// seq == 0 (the media_ sentinel, Oob{}) means the page was never
+  /// programmed.  Trivially constructible on purpose: a PageMap chunk is
+  /// allocated uninitialised and sentinel-filled once.  Always brace-init.
   struct Oob {
-    Lpn lpn = 0;
+    Lpn lpn;
+    std::uint64_t seq;
+    friend bool operator==(const Oob&, const Oob&) = default;
+  };
+
+  /// A remount candidate: where an lpn's newest durable copy sits and the
+  /// sequence that put it there.  ppn == kNoPage (the sentinel) means none.
+  struct Candidate {
+    Ppn ppn = kNoPage;
     std::uint64_t seq = 0;
+    friend bool operator==(const Candidate&, const Candidate&) = default;
   };
 
   /// One durable mapping update.  ppn == kTrimMark encodes a trim.
@@ -249,9 +272,10 @@ class Ftl final : public StorageBackend {
   bool mounted_ = true;
 
   // ---- volatile state (lost on power_loss) ----------------------------
-  // Flat sentinel-coded maps (kNoPage = unmapped): see the note on kNoPage.
-  std::vector<Ppn> l2p_;
-  std::vector<Lpn> p2l_;  // valid reverse map (kNoPage = invalid/free)
+  // Sentinel-coded page maps (kNoPage = unmapped), chunk-allocated on first
+  // store.
+  PageMap<Ppn> l2p_;
+  PageMap<Lpn> p2l_;  // valid reverse map (kNoPage = invalid/free)
   std::vector<Block> blocks_;
   std::uint64_t active_block_;     // current host append block
   std::uint64_t gc_active_block_;  // current GC relocation block
@@ -268,7 +292,7 @@ class Ftl final : public StorageBackend {
   std::vector<std::uint64_t> valid_bits_;
 
   // ---- durable state (survives power_loss) ----------------------------
-  std::vector<std::optional<Oob>> media_;  // OOB of every programmed page
+  PageMap<Oob> media_;  // OOB of every programmed page (seq 0 = erased)
   // Per-block durable summaries — the "block header" a real device reads
   // instead of scanning every page's OOB: the highest program sequence in
   // the block (cleared on erase; max > horizon iff any page is newer) and
@@ -279,10 +303,17 @@ class Ftl final : public StorageBackend {
   // fold: the scope of incremental remount verification.
   std::vector<std::uint64_t> dirty_bits_;
   std::vector<JournalEntry> journal_;      // entries on programmed pages
-  std::vector<Ppn> checkpoint_;            // kNoPage = unmapped at fold time
+  PageMap<Ppn> checkpoint_;                // kNoPage = unmapped at fold time
   std::uint64_t checkpoint_seq_ = 0;
   std::uint64_t checkpoint_pages_ = 0;
   std::uint64_t last_durable_seq_ = 0;
+  // Remount OOB-scan floor while some mappings are recorded only in OOB
+  // stamps: a remount that rescues tail updates from the media leaves them
+  // un-journaled, so it pins the scan horizon at its own until the next
+  // fold checkpoints them.  kNoSeq when checkpoint + journal cover every
+  // program (the horizon is then last_durable_seq_).
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+  std::uint64_t rescue_horizon_ = kNoSeq;
   std::uint64_t seq_ = 0;  // global mapping-update sequence
   std::uint32_t journal_pages_since_fold_ = 0;
   std::uint64_t meta_pages_live_ = 0;  // journal+checkpoint pages not yet recycled
@@ -290,9 +321,9 @@ class Ftl final : public StorageBackend {
   std::uint32_t retired_count_ = 0;
 
   // Remount scratch: the candidate map recover() builds before committing.
-  // A member so repeated power-cycle sweeps reuse the allocation instead of
-  // paying a logical_pages-sized calloc per remount.
-  std::vector<std::optional<std::pair<Ppn, std::uint64_t>>> recover_scratch_;
+  // A member so repeated power cycles refill the chunks it already holds
+  // instead of allocating them again.
+  PageMap<Candidate> recover_scratch_;
 
   FtlStats stats_;
 };

@@ -18,7 +18,7 @@ namespace {
 /// one (asserted by serve_test and bench/obs_overhead).
 void record_run_metrics(obs::MetricsRegistry& m, const ExecutionReport& report,
                         std::uint64_t monitor_lost_updates,
-                        const flash::StorageBackend& storage) {
+                        const flash::StorageBackend* backend) {
   m.counter("engine.runs").add();
   for (const auto& line : report.lines) {
     m.counter(line.placement == ir::Placement::Csd ? "engine.lines.csd"
@@ -57,11 +57,12 @@ void record_run_metrics(obs::MetricsRegistry& m, const ExecutionReport& report,
   if (report.storage.driven && report.storage.reclaim_time.value() > 0.0) {
     m.histogram("engine.reclaim_stall_s").record(report.storage.reclaim_time);
   }
-  // Backend stats only when the run actually drove the backend: an idle
+  // Backend stats only when the run actually drove the backend (`backend`
+  // is null otherwise, so an undriven run never reaches it): an idle
   // backend is pristine state, and recording its (kind-specific) zero
   // counters would make a persist-free run's metric schema depend on
   // whether the device happens to be FTL or ZNS.
-  if (report.storage.driven) storage.record_metrics(m);
+  if (backend != nullptr) backend->record_metrics(m);
 }
 
 using interconnect::TransferKind;
@@ -909,7 +910,7 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
   }
   if (options.metrics != nullptr) {
     record_run_metrics(*options.metrics, report,
-                       monitor ? monitor->lost_updates() : 0, csd.storage());
+                       monitor ? monitor->lost_updates() : 0, backend);
   }
   return report;
 }

@@ -8,6 +8,8 @@
 #include "obs/metrics.hpp"
 
 namespace isp::zns {
+using flash::kNoPage;
+using flash::PageMap;
 
 const char* to_string(ZoneState state) {
   switch (state) {
@@ -72,8 +74,10 @@ ZnsDevice::ZnsDevice(ZnsConfig config) : config_(config) {
                 << config_.reclaim_high_watermark << " watermark > "
                 << data_zone_count << " data zones");
 
-  l2p_.assign(logical_pages_, std::nullopt);
-  p2l_.assign(g.total_pages(), std::nullopt);
+  // The page maps start empty (every entry reads as its sentinel) and
+  // allocate chunks as pages are written: construction is O(zones).
+  l2p_ = PageMap<flash::Ppn>(logical_pages_, kNoPage);
+  p2l_ = PageMap<flash::Lpn>(g.total_pages(), kNoPage);
   zones_.assign(zone_count, Zone{});
   retired_.assign(zone_count, 0);
   free_count_ = static_cast<std::uint32_t>(data_zone_count);
@@ -87,8 +91,9 @@ ZnsDevice::ZnsDevice(ZnsConfig config) : config_(config) {
   zone_max_seq_.assign(zone_count, 0);
   zone_programmed_.assign(zone_count, 0);
   if (config_.journal.enabled) {
-    media_.assign(g.total_pages(), std::nullopt);
-    checkpoint_.assign(logical_pages_, std::nullopt);
+    media_ = PageMap<Oob>(g.total_pages(), Oob{});
+    checkpoint_ = PageMap<flash::Ppn>(logical_pages_, kNoPage);
+    recover_scratch_ = PageMap<Candidate>(logical_pages_, Candidate{});
     journal_buf_.reserve(journal_entries_per_page());
     journal_.reserve(static_cast<std::size_t>(journal_entries_per_page()) *
                      config_.journal.checkpoint_interval_pages);
@@ -187,10 +192,10 @@ std::uint64_t ZnsDevice::allocate_append_zone() {
 }
 
 void ZnsDevice::invalidate(flash::Lpn lpn) {
-  if (const auto old = l2p_[lpn]) {
-    p2l_[*old] = std::nullopt;
-    bit_clear(valid_bits_, *old);
-    Zone& z = zones_[page_zone(*old)];
+  if (const flash::Ppn old = l2p_[lpn]; old != kNoPage) {
+    p2l_.erase(old);
+    bit_clear(valid_bits_, old);
+    Zone& z = zones_[page_zone(old)];
     ISP_DCHECK(z.live > 0, "live-count underflow");
     --z.live;
   } else {
@@ -199,8 +204,8 @@ void ZnsDevice::invalidate(flash::Lpn lpn) {
 }
 
 void ZnsDevice::install_mapping(flash::Lpn lpn, flash::Ppn ppn) {
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
+  l2p_.set(lpn, ppn);
+  p2l_.set(ppn, lpn);
   bit_set(valid_bits_, ppn);
   ++zones_[page_zone(ppn)].live;
   const std::uint64_t seq = ++seq_;
@@ -208,7 +213,7 @@ void ZnsDevice::install_mapping(flash::Lpn lpn, flash::Ppn ppn) {
     // The append order *is* the mapping: the OOB stamp alone makes this
     // update recoverable, so — unlike the FTL — no journal record is
     // written.  This is the structural metadata saving of ZNS.
-    media_[ppn] = Oob{lpn, seq};
+    media_.set(ppn, Oob{lpn, seq});
     // Appends stamp increasing sequences, so the last stamp is the zone's
     // max — the durable summary remount consults instead of scanning OOB.
     zone_max_seq_[page_zone(ppn)] = seq;
@@ -274,7 +279,9 @@ void ZnsDevice::write(flash::Lpn lpn) {
 std::optional<flash::Ppn> ZnsDevice::translate(flash::Lpn lpn) const {
   ISP_CHECK(mounted_, "ZNS not mounted (crashed; call recover() first)");
   ISP_CHECK(lpn < logical_pages_, "lpn out of range: " << lpn);
-  return l2p_[lpn];
+  const flash::Ppn ppn = l2p_[lpn];
+  if (ppn == kNoPage) return std::nullopt;
+  return ppn;
 }
 
 void ZnsDevice::trim(flash::Lpn lpn) {
@@ -284,13 +291,13 @@ void ZnsDevice::trim(flash::Lpn lpn) {
 }
 
 void ZnsDevice::trim_one(flash::Lpn lpn) {
-  if (const auto old = l2p_[lpn]) {
-    p2l_[*old] = std::nullopt;
-    bit_clear(valid_bits_, *old);
-    Zone& z = zones_[page_zone(*old)];
+  if (const flash::Ppn old = l2p_[lpn]; old != kNoPage) {
+    p2l_.erase(old);
+    bit_clear(valid_bits_, old);
+    Zone& z = zones_[page_zone(old)];
     ISP_DCHECK(z.live > 0, "live-count underflow");
     --z.live;
-    l2p_[lpn] = std::nullopt;
+    l2p_.erase(lpn);
     --mapped_count_;
     // A trim is the one update the OOB append order cannot reconstruct, so
     // it is the one record the ZNS journal carries.
@@ -328,10 +335,11 @@ void ZnsDevice::maybe_fold() {
 }
 
 void ZnsDevice::fold_checkpoint() {
-  // Snapshot the whole map; the old checkpoint + journal region of the
-  // metadata zone is then recycled (erased) and a fresh journal starts
-  // empty.  Buffered trims are superseded by the snapshot (l2p_ already
-  // reflects them), exactly like the FTL fold.
+  // Snapshot the whole map (a PageMap copy copies only the chunks the map
+  // has touched); the old checkpoint + journal region of the metadata zone
+  // is then recycled (erased) and a fresh journal starts empty.  Buffered
+  // trims are superseded by the snapshot (l2p_ already reflects them),
+  // exactly like the FTL fold.
   checkpoint_ = l2p_;
   checkpoint_seq_ = seq_;
   const auto page = config_.geometry.page_bytes.count();
@@ -412,11 +420,9 @@ void ZnsDevice::reset_zone_internal(std::uint64_t zone) {
     // Erase exactly the blocks the write pointer reached.
     const auto ppb = config_.geometry.pages_per_block;
     stats_.erases += (z.write_pointer + ppb - 1) / ppb;
-    if (!media_.empty()) {
+    if (config_.journal.enabled) {
       const flash::Ppn first = zone_first_page(zone);
-      for (std::uint32_t p = 0; p < z.write_pointer; ++p) {
-        media_[first + p] = std::nullopt;
-      }
+      media_.fill(first, first + z.write_pointer, Oob{});
     }
   }
   z = Zone{};
@@ -437,7 +443,7 @@ void ZnsDevice::copy_forward_live(std::uint64_t zone) {
   // which bits_for_each tolerates.
   const flash::Ppn first = zone_first_page(zone);
   bits_for_each(valid_bits_, first, first + zones_[zone].write_pointer,
-                [&](flash::Ppn src) { append_internal(*p2l_[src]); });
+                [&](flash::Ppn src) { append_internal(p2l_[src]); });
   ISP_DCHECK(zones_[zone].live == 0, "zone not fully relocated");
 }
 
@@ -470,11 +476,9 @@ void ZnsDevice::retire_zone(std::uint64_t zone) {
   if (z.write_pointer > 0) {
     const auto ppb = config_.geometry.pages_per_block;
     stats_.erases += (z.write_pointer + ppb - 1) / ppb;  // decommission erase
-    if (!media_.empty()) {
+    if (config_.journal.enabled) {
       const flash::Ppn first = zone_first_page(zone);
-      for (std::uint32_t p = 0; p < z.write_pointer; ++p) {
-        media_[first + p] = std::nullopt;
-      }
+      media_.fill(first, first + z.write_pointer, Oob{});
     }
   }
   z = Zone{};
@@ -536,8 +540,8 @@ flash::StorageCrash ZnsDevice::power_loss() {
   // journal pages, the checkpoint, the offline-zone table, and the per-zone
   // summaries (zone_max_seq_ / zone_programmed_ / dirty_bits_) — survives.
   journal_buf_.clear();
-  l2p_.assign(logical_pages_, std::nullopt);
-  p2l_.assign(media_.size(), std::nullopt);
+  l2p_.clear();
+  p2l_.clear();
   for (auto& z : zones_) z = Zone{};
   bits_clear_all(free_bits_);
   bits_clear_all(full_bits_);
@@ -556,23 +560,26 @@ flash::StorageRecovery ZnsDevice::recover() {
   flash::StorageRecovery rec;
 
   // 1. Candidate map from the checkpoint, each entry stamped with the fold
-  //    sequence (everything in the checkpoint is at least that old).
-  recover_scratch_.assign(logical_pages_, std::nullopt);
+  //    sequence (everything in the checkpoint is at least that old).  Only
+  //    the checkpoint's present chunks are walked.  The candidate map is
+  //    reset in place, so repeated power cycles refill the chunks it
+  //    already holds.
+  recover_scratch_.fill(0, logical_pages_, Candidate{});
   auto& m = recover_scratch_;
-  for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (checkpoint_[lpn]) m[lpn] = {*checkpoint_[lpn], checkpoint_seq_};
-  }
+  checkpoint_.for_each([&](flash::Lpn lpn, flash::Ppn ppn) {
+    m.set(lpn, Candidate{ppn, checkpoint_seq_});
+  });
   rec.checkpoint_pages_read = checkpoint_pages_;
 
   // 2. Replay the durable journal in order (trim records only).  Each
   //    trim's sequence is kept as a tombstone: the OOB scan below must not
   //    resurrect an *older* append of the same lpn that a durable trim
   //    already superseded.
-  std::vector<std::uint64_t> tombstone(logical_pages_, 0);
+  PageMap<std::uint64_t> tombstone(logical_pages_, 0);
   for (const auto& e : journal_) {
     if (e.seq > checkpoint_seq_) {
-      m[e.lpn] = std::nullopt;
-      tombstone[e.lpn] = std::max(tombstone[e.lpn], e.seq);
+      m.erase(e.lpn);
+      tombstone.set(e.lpn, std::max(tombstone[e.lpn], e.seq));
     }
   }
   rec.journal_entries_replayed = journal_.size();
@@ -597,29 +604,19 @@ flash::StorageRecovery ZnsDevice::recover() {
     rec.pages_scanned += zone_pages_;
     for (std::uint32_t p = 0; p < zone_pages_; ++p) {
       const flash::Ppn ppn = first + p;
-      const auto& oob = media_[ppn];
-      if (!oob || oob->seq <= checkpoint_seq_) continue;
-      if (oob->seq <= tombstone[oob->lpn]) continue;  // durably trimmed
-      if (!m[oob->lpn] || oob->seq > m[oob->lpn]->second) {
-        m[oob->lpn] = {ppn, oob->seq};
+      // Unprogrammed pages read seq 0, never past the horizon.
+      const Oob oob = media_[ppn];
+      if (oob.seq <= checkpoint_seq_) continue;
+      if (oob.seq <= tombstone[oob.lpn]) continue;  // durably trimmed
+      const Candidate c = m[oob.lpn];
+      if (c.ppn == kNoPage || oob.seq > c.seq) {
+        m.set(oob.lpn, Candidate{ppn, oob.seq});
         ++rec.tail_updates_rescued;
       }
     }
   }
 
-  // 4. Confirm every candidate against the media: a mapping whose physical
-  //    page was reset away is stale — the OOB scan already supplied the
-  //    newer location if one exists.
-  for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const flash::Ppn ppn = m[lpn]->first;
-    if (!media_[ppn] || media_[ppn]->lpn != lpn) {
-      m[lpn] = std::nullopt;
-      ++rec.stale_mappings_dropped;
-    }
-  }
-
-  // 5. Rebuild the volatile state.  Write pointers rebuild from the
+  // 4. Rebuild the volatile state.  Write pointers rebuild from the
   //    programmed prefix of each zone; zone states derive from them (open
   //    state is volatile, so survivors come back Empty, Closed or Full).
   for (std::uint64_t z = config_.meta_zones; z < zones_.size(); ++z) {
@@ -643,16 +640,21 @@ flash::StorageRecovery ZnsDevice::recover() {
     }
     zones_[z] = nz;
   }
+  // Each candidate is confirmed against the media before it is installed:
+  // a mapping whose physical page was reset away is stale — the OOB scan
+  // already supplied the newer location if one exists.
   mapped_count_ = 0;
-  for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (!m[lpn]) continue;
-    const flash::Ppn ppn = m[lpn]->first;
-    l2p_[lpn] = ppn;
-    p2l_[ppn] = lpn;
-    bit_set(valid_bits_, ppn);
-    ++zones_[page_zone(ppn)].live;
+  m.for_each([&](flash::Lpn lpn, Candidate c) {
+    if (media_[c.ppn].seq == 0 || media_[c.ppn].lpn != lpn) {
+      ++rec.stale_mappings_dropped;
+      return;
+    }
+    l2p_.set(lpn, c.ppn);
+    p2l_.set(c.ppn, lpn);
+    bit_set(valid_bits_, c.ppn);
+    ++zones_[page_zone(c.ppn)].live;
     ++mapped_count_;
-  }
+  });
   rec.mappings_recovered = mapped_count_;
   free_count_ = 0;
   for (std::uint64_t z = config_.meta_zones; z < zones_.size(); ++z) {
@@ -665,7 +667,7 @@ flash::StorageRecovery ZnsDevice::recover() {
   open_count_ = 0;
   open_stamp_ = 0;
 
-  // 6. Re-open append points.  The first two partially written zones become
+  // 5. Re-open append points.  The first two partially written zones become
   //    the host and reclaim targets; any further partials are finished so
   //    reclaim can take them once their data goes stale (no copy needed —
   //    unlike FTL blocks, a finished zone is a first-class reclaim victim).
@@ -749,26 +751,28 @@ void ZnsDevice::check_invariants() const {
 
   // l2p / p2l are mutually consistent bijections on their valid domain, and
   // every mapped physical page lives inside a data zone's programmed prefix.
+  // Both walks visit only the maps' present chunks; the valid-page bitmap
+  // matches p2l exactly when every reverse-mapped page has its bit and no
+  // other bit is set.
   std::uint64_t mapped = 0;
-  for (flash::Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (const auto ppn = l2p_[lpn]) {
-      ISP_CHECK(*ppn < p2l_.size(), "ppn out of range");
-      ISP_CHECK(p2l_[*ppn].has_value() && *p2l_[*ppn] == lpn,
-                "reverse map disagrees for lpn " << lpn);
-      const std::uint64_t z = page_zone(*ppn);
-      ISP_CHECK(z >= config_.meta_zones,
-                "data mapping points into the metadata zone");
-      ISP_CHECK(*ppn - zone_first_page(z) < zones_[z].write_pointer,
-                "mapping past zone " << z << "'s write pointer");
-      ++mapped;
-    }
-  }
+  l2p_.for_each([&](flash::Lpn lpn, flash::Ppn ppn) {
+    ISP_CHECK(ppn < p2l_.size(), "ppn out of range");
+    ISP_CHECK(p2l_[ppn] == lpn, "reverse map disagrees for lpn " << lpn);
+    const std::uint64_t z = page_zone(ppn);
+    ISP_CHECK(z >= config_.meta_zones,
+              "data mapping points into the metadata zone");
+    ISP_CHECK(ppn - zone_first_page(z) < zones_[z].write_pointer,
+              "mapping past zone " << z << "'s write pointer");
+    ++mapped;
+  });
   std::uint64_t reverse_mapped = 0;
-  for (flash::Ppn ppn = 0; ppn < p2l_.size(); ++ppn) {
-    ISP_CHECK(bit_test(valid_bits_, ppn) == p2l_[ppn].has_value(),
+  p2l_.for_each([&](flash::Ppn ppn, flash::Lpn) {
+    ISP_CHECK(bit_test(valid_bits_, ppn),
               "valid-page bitmap drift at ppn " << ppn);
-    if (p2l_[ppn].has_value()) ++reverse_mapped;
-  }
+    ++reverse_mapped;
+  });
+  ISP_CHECK(bits_count(valid_bits_, 0, p2l_.size()) == reverse_mapped,
+            "valid-page bitmap drift: bits set on unmapped pages");
   ISP_CHECK(mapped == reverse_mapped, "map cardinality mismatch");
   ISP_CHECK(mapped == mapped_count_, "mapped-count bookkeeping mismatch");
 
@@ -781,7 +785,7 @@ void ZnsDevice::check_invariants() const {
     const flash::Ppn first = zone_first_page(z);
     std::uint32_t live = 0;
     for (std::uint32_t p = 0; p < zone_pages_; ++p) {
-      if (p2l_[first + p].has_value()) {
+      if (p2l_[first + p] != kNoPage) {
         ISP_CHECK(p < zn.write_pointer, "live page past the write pointer");
         ++live;
       }
@@ -794,15 +798,15 @@ void ZnsDevice::check_invariants() const {
               "free-zone bitmap drift at zone " << z);
     ISP_CHECK(bit_test(full_bits_, z) == (zn.state == ZoneState::Full),
               "full-zone bitmap drift at zone " << z);
-    if (!media_.empty() && !retired_[z]) {
+    if (config_.journal.enabled && !retired_[z]) {
       // Programmed pages are exactly the prefix [0, write_pointer), and the
       // durable summary holds the newest stamp among them.
       std::uint64_t max_seq = 0;
       for (std::uint32_t p = 0; p < zone_pages_; ++p) {
-        const auto& oob = media_[first + p];
-        ISP_CHECK(oob.has_value() == (p < zn.write_pointer),
+        const Oob oob = media_[first + p];
+        ISP_CHECK((oob.seq != 0) == (p < zn.write_pointer),
                   "zone " << z << " programmed pages are not a prefix");
-        if (oob) max_seq = std::max(max_seq, oob->seq);
+        max_seq = std::max(max_seq, oob.seq);
       }
       ISP_CHECK(zone_max_seq_[z] == max_seq,
                 "zone " << z << " durable max-seq drift");
@@ -853,7 +857,7 @@ void ZnsDevice::check_invariants() const {
 
   // The metadata zones never hold data mappings.
   for (flash::Ppn ppn = 0; ppn < zone_first_page(config_.meta_zones); ++ppn) {
-    ISP_CHECK(!p2l_[ppn].has_value(), "data mapping in the metadata zone");
+    ISP_CHECK(p2l_[ppn] == kNoPage, "data mapping in the metadata zone");
   }
 }
 
@@ -935,21 +939,22 @@ void ZnsDevice::check_invariants_incremental() const {
         std::uint64_t max_seq = 0;
         for (std::uint32_t p = 0; p < zone_pages_; ++p) {
           const flash::Ppn ppn = first + p;
-          ISP_CHECK(bit_test(valid_bits_, ppn) == p2l_[ppn].has_value(),
+          const flash::Lpn lpn = p2l_[ppn];
+          ISP_CHECK(bit_test(valid_bits_, ppn) == (lpn != kNoPage),
                     "valid-page bitmap drift at ppn " << ppn);
-          if (const auto lpn = p2l_[ppn]) {
+          if (lpn != kNoPage) {
             ISP_CHECK(p < zn.write_pointer, "live page past the write pointer");
-            ISP_CHECK(l2p_[*lpn].has_value() && *l2p_[*lpn] == ppn,
+            ISP_CHECK(l2p_[lpn] == ppn,
                       "map round trip broken at ppn " << ppn);
           }
-          if (!media_.empty() && !retired_[z]) {
-            const auto& oob = media_[ppn];
-            ISP_CHECK(oob.has_value() == (p < zn.write_pointer),
+          if (config_.journal.enabled && !retired_[z]) {
+            const Oob oob = media_[ppn];
+            ISP_CHECK((oob.seq != 0) == (p < zn.write_pointer),
                       "zone " << z << " programmed pages are not a prefix");
-            if (oob) max_seq = std::max(max_seq, oob->seq);
+            max_seq = std::max(max_seq, oob.seq);
           }
         }
-        if (!media_.empty() && !retired_[z]) {
+        if (config_.journal.enabled && !retired_[z]) {
           ISP_CHECK(zone_max_seq_[z] == max_seq,
                     "zone " << z << " durable max-seq drift");
         }
@@ -995,26 +1000,35 @@ void ZnsDevice::write_span(flash::Lpn first, std::uint64_t count) {
       ISP_DCHECK(appends_since_fold_ < fold_interval, "missed a fold");
       run = std::min<std::uint64_t>(run, fold_interval - appends_since_fold_);
     }
-    const flash::Ppn base = zone_first_page(active_zone_);
+    const flash::Ppn start = zone_first_page(active_zone_) + az.write_pointer;
+    // The run also stops at a page-map chunk boundary in either space, so
+    // each map's slice of it is one contiguous array (an early stop changes
+    // nothing: the next pass resumes the bulk regime).
+    run = std::min({run, PageMap<flash::Ppn>::chunk_room(lpn),
+                    PageMap<flash::Lpn>::chunk_room(start)});
+    flash::Ppn* const fwd = l2p_.slots(lpn, run);
+    flash::Lpn* const rev = p2l_.slots(start, run);
+    Oob* const oob =
+        config_.journal.enabled ? media_.slots(start, run) : nullptr;
     for (std::uint64_t i = 0; i < run; ++i, ++lpn) {
-      if (const auto old = l2p_[lpn]) {
-        p2l_[*old] = std::nullopt;
-        bit_clear(valid_bits_, *old);
-        Zone& oz = zones_[page_zone(*old)];
+      if (const flash::Ppn old = fwd[i]; old != kNoPage) {
+        p2l_.erase(old);
+        bit_clear(valid_bits_, old);
+        Zone& oz = zones_[page_zone(old)];
         ISP_DCHECK(oz.live > 0, "live-count underflow");
         --oz.live;
       } else {
         ++mapped_count_;
       }
-      const flash::Ppn ppn = base + az.write_pointer;
-      ++az.write_pointer;
-      l2p_[lpn] = ppn;
-      p2l_[ppn] = lpn;
+      const flash::Ppn ppn = start + i;
+      fwd[i] = ppn;
+      rev[i] = lpn;
       bit_set(valid_bits_, ppn);
-      ++az.live;
       const std::uint64_t seq = ++seq_;
-      if (config_.journal.enabled) media_[ppn] = Oob{lpn, seq};
+      if (oob != nullptr) oob[i] = Oob{lpn, seq};
     }
+    az.write_pointer += static_cast<std::uint32_t>(run);
+    az.live += static_cast<std::uint32_t>(run);
     left -= run;
     stats_.host_appends += run;
     zone_programmed_[active_zone_] = az.write_pointer;
@@ -1045,9 +1059,9 @@ std::uint64_t ZnsDevice::read_span(flash::Lpn first, std::uint64_t count,
             "read_span out of range: [" << first << ", +" << count << ")");
   std::uint64_t mapped = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    if (const auto ppn = l2p_[first + i]) {
+    if (const flash::Ppn ppn = l2p_[first + i]; ppn != kNoPage) {
       ++mapped;
-      if (out != nullptr) out->push_back(*ppn);
+      if (out != nullptr) out->push_back(ppn);
     }
   }
   return mapped;

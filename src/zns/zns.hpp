@@ -41,6 +41,12 @@
 // pointers rebuild from the programmed prefix of each zone; open zones come
 // back Closed (open state is volatile, as in the spec).
 //
+// Memory: as in the FTL, every page-indexed array (l2p, p2l, media OOB,
+// checkpoint) is a flash::PageMap of sentinel-coded words — flash::kNoPage
+// for "unmapped", and seq == 0 for "never programmed" (sequences are
+// pre-incremented, so every program stamps seq >= 1).  Chunks allocate on
+// first store: a fresh device holds only its O(zones) arrays and bitsets.
+//
 // Invariants (enforced and property-tested):
 //   * a logical page maps to at most one valid physical page, and vice versa;
 //   * per-zone live counts equal the number of valid pages in the zone;
@@ -58,6 +64,7 @@
 #include "common/units.hpp"
 #include "flash/backend.hpp"
 #include "flash/nand.hpp"
+#include "flash/page_map.hpp"
 
 namespace isp::obs {
 class MetricsRegistry;
@@ -164,6 +171,15 @@ class ZnsDevice final : public flash::StorageBackend {
   /// public so tests can prove the two modes agree.
   void check_invariants_incremental() const;
 
+  /// Allocated PageMap chunks: in the forward map alone, and summed over
+  /// every page-indexed map (l2p, p2l, media, checkpoint).  A fresh device
+  /// holds none.
+  [[nodiscard]] std::uint64_t l2p_chunks() const { return l2p_.chunks(); }
+  [[nodiscard]] std::uint64_t map_chunks() const {
+    return l2p_.chunks() + p2l_.chunks() + media_.chunks() +
+           checkpoint_.chunks();
+  }
+
   // ---- Zone management (the ZNS command set) ---------------------------
   [[nodiscard]] std::uint64_t zone_count() const { return zones_.size(); }
   [[nodiscard]] std::uint64_t data_zones() const {
@@ -221,9 +237,21 @@ class ZnsDevice final : public flash::StorageBackend {
 
   /// OOB metadata stamped on every programmed data page (durable until the
   /// zone is reset): which logical page it holds and when it was written.
+  /// seq == 0 (the media_ sentinel, Oob{}) means the page was never
+  /// programmed.  Trivially constructible on purpose: a PageMap chunk is
+  /// allocated uninitialised and sentinel-filled once.  Always brace-init.
   struct Oob {
-    flash::Lpn lpn = 0;
+    flash::Lpn lpn;
+    std::uint64_t seq;
+    friend bool operator==(const Oob&, const Oob&) = default;
+  };
+
+  /// A remount candidate: where an lpn's newest durable copy sits and the
+  /// sequence that put it there.  ppn == kNoPage (the sentinel) means none.
+  struct Candidate {
+    flash::Ppn ppn = flash::kNoPage;
     std::uint64_t seq = 0;
+    friend bool operator==(const Candidate&, const Candidate&) = default;
   };
 
   /// One durable journal record.  ZNS journals only what the OOB cannot
@@ -270,8 +298,10 @@ class ZnsDevice final : public flash::StorageBackend {
   bool mounted_ = true;
 
   // ---- volatile state (lost on power_loss) ----------------------------
-  std::vector<std::optional<flash::Ppn>> l2p_;
-  std::vector<std::optional<flash::Lpn>> p2l_;
+  // Sentinel-coded page maps (flash::kNoPage = unmapped), chunk-allocated
+  // on first store.
+  flash::PageMap<flash::Ppn> l2p_;
+  flash::PageMap<flash::Lpn> p2l_;
   std::vector<Zone> zones_;
   std::uint64_t active_zone_;   // host append target
   std::uint64_t reclaim_zone_;  // copy-forward append target
@@ -288,7 +318,7 @@ class ZnsDevice final : public flash::StorageBackend {
   std::vector<std::uint64_t> valid_bits_;
 
   // ---- durable state (survives power_loss) ----------------------------
-  std::vector<std::optional<Oob>> media_;  // OOB of every programmed page
+  flash::PageMap<Oob> media_;  // OOB of every programmed page (seq 0 = reset)
   // Per-zone durable summaries (the "zone header"): highest program
   // sequence (cleared on reset; max > horizon iff any page is newer) and
   // the programmed-prefix length the write pointer rebuilds from.  Remount
@@ -299,7 +329,7 @@ class ZnsDevice final : public flash::StorageBackend {
   // fold: the scope of incremental remount verification.
   std::vector<std::uint64_t> dirty_bits_;
   std::vector<JournalEntry> journal_;      // trim records on programmed pages
-  std::vector<std::optional<flash::Ppn>> checkpoint_;
+  flash::PageMap<flash::Ppn> checkpoint_;  // kNoPage = unmapped at fold time
   std::uint64_t checkpoint_seq_ = 0;
   std::uint64_t checkpoint_pages_ = 0;
   std::uint64_t seq_ = 0;  // global update sequence (appends + trims)
@@ -309,9 +339,8 @@ class ZnsDevice final : public flash::StorageBackend {
   std::vector<char> retired_;          // durable offline-zone table
   std::uint32_t retired_count_ = 0;
 
-  // Remount scratch, reused across power-cycle sweeps (see Ftl).
-  std::vector<std::optional<std::pair<flash::Ppn, std::uint64_t>>>
-      recover_scratch_;
+  // Remount scratch, refilled in place across power cycles (see Ftl).
+  flash::PageMap<Candidate> recover_scratch_;
 
   ZnsStats stats_;
 };

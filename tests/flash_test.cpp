@@ -10,7 +10,9 @@
 #include "flash/flash_array.hpp"
 #include "flash/ftl.hpp"
 #include "flash/nand.hpp"
+#include "flash/page_map.hpp"
 #include "obs/metrics.hpp"
+#include "reference_map.hpp"
 
 namespace isp::flash {
 namespace {
@@ -452,6 +454,47 @@ TEST(FtlSpanCrash, IncrementalAndExhaustiveRemountVerifyAgree) {
   expect_identical(incremental, exhaustive);
 }
 
+// A remount rescues the journal's lost tail from OOB stamps, but those
+// updates stay un-journaled until the next fold.  Journal pages programmed
+// after the remount must not hide them from the next one: a second crash
+// before any fold keeps every mapping the first remount recovered.
+TEST(FtlSpanCrash, SecondCrashKeepsUpdatesTheFirstRemountRescued) {
+  Ftl ftl(journaled_small());  // 4 journal entries per page
+  for (Lpn lpn = 0; lpn < 6; ++lpn) ftl.write(lpn);  // lpns 4, 5 in the tail
+  std::vector<std::optional<Ppn>> before;
+  for (Lpn lpn = 0; lpn < 6; ++lpn) before.push_back(ftl.translate(lpn));
+  EXPECT_EQ(ftl.power_loss().lost_tail_updates, 2u);
+  EXPECT_EQ(ftl.recover().tail_updates_rescued, 2u);
+  for (Lpn lpn = 10; lpn < 14; ++lpn) ftl.write(lpn);  // one journal page
+  ASSERT_EQ(ftl.stats().checkpoint_folds, 0u);
+  ftl.power_loss();
+  const auto rec = ftl.recover();
+  EXPECT_EQ(rec.mappings_recovered, 10u);
+  for (Lpn lpn = 0; lpn < 6; ++lpn) {
+    EXPECT_EQ(ftl.translate(lpn), before[lpn]) << "lpn " << lpn;
+  }
+  ftl.check_invariants();
+}
+
+// While a remount's rescued pages keep the scan horizon pinned, the wider
+// scan reads them back on the next remount; a trim made durable in between
+// must still win over the page it unmapped.
+TEST(FtlSpanCrash, DurableTrimAfterARescueStaysTrimmed) {
+  Ftl ftl(journaled_small());  // 4 journal entries per page
+  for (Lpn lpn = 0; lpn < 6; ++lpn) ftl.write(lpn);  // lpns 4, 5 in the tail
+  ftl.power_loss();
+  ASSERT_EQ(ftl.recover().tail_updates_rescued, 2u);
+  ftl.trim(4);
+  for (Lpn lpn = 10; lpn < 13; ++lpn) ftl.write(lpn);  // the trim's page fills
+  ASSERT_EQ(ftl.stats().checkpoint_folds, 0u);
+  ASSERT_EQ(ftl.journal_tail_updates(), 0u);  // so the trim is durable
+  ftl.power_loss();
+  ftl.recover();
+  EXPECT_FALSE(ftl.translate(4).has_value());
+  EXPECT_TRUE(ftl.translate(5).has_value());
+  ftl.check_invariants();
+}
+
 TEST(FtlSpan, ReadSpanMatchesTranslateLoop) {
   Ftl ftl(small_ftl());
   for (Lpn lpn = 10; lpn < 30; ++lpn) ftl.write(lpn);
@@ -496,6 +539,154 @@ TEST(Ftl, RecordMetricsExportsFreePagesAndWaGauges) {
   EXPECT_DOUBLE_EQ(registry.find_gauge("ftl.wa")->value,
                    ftl.stats().write_amplification());
 }
+
+// ---------------------------------------------------------------------------
+// PageMap: the chunked, sentinel-coded store behind every page-indexed map
+// of both backends.
+
+constexpr std::uint64_t kChunk = PageMap<std::uint64_t>::kChunkEntries;
+
+TEST(PageMap, FreshMapReadsSentinelAndHoldsNoChunks) {
+  const PageMap<std::uint64_t> map(3 * kChunk + 5, kNoPage);
+  EXPECT_EQ(map.size(), 3 * kChunk + 5);
+  EXPECT_EQ(map.chunks(), 0u);
+  EXPECT_EQ(map[0], kNoPage);
+  EXPECT_EQ(map[3 * kChunk + 4], kNoPage);
+}
+
+TEST(PageMap, StoresAcrossAChunkBoundary) {
+  PageMap<std::uint64_t> map(3 * kChunk, kNoPage);
+  map.set(kChunk - 1, 7);
+  EXPECT_EQ(map.chunks(), 1u);
+  map.set(kChunk, 8);
+  EXPECT_EQ(map.chunks(), 2u);
+  EXPECT_EQ(map[kChunk - 1], 7u);
+  EXPECT_EQ(map[kChunk], 8u);
+  // Neighbours in the freshly allocated chunks read the sentinel.
+  EXPECT_EQ(map[kChunk - 2], kNoPage);
+  EXPECT_EQ(map[kChunk + 1], kNoPage);
+  EXPECT_EQ(map[0], kNoPage);
+  EXPECT_EQ(map[2 * kChunk - 1], kNoPage);
+  // The third chunk was never stored to.
+  EXPECT_EQ(map[2 * kChunk], kNoPage);
+  EXPECT_EQ(map.chunks(), 2u);
+}
+
+TEST(PageMap, AbsentChunkLoadsAndErasesAllocateNothing) {
+  PageMap<std::uint64_t> map(4 * kChunk, 0);
+  map.erase(kChunk + 3);
+  map.fill(0, 2 * kChunk, 0);  // a sentinel fill over absent chunks
+  EXPECT_EQ(map.chunks(), 0u);
+  EXPECT_EQ(map[kChunk + 3], 0u);
+  map.set(5, 9);
+  map.erase(5);  // present chunk: the entry reads the sentinel again
+  EXPECT_EQ(map[5], 0u);
+  EXPECT_EQ(map.chunks(), 1u);
+}
+
+TEST(PageMap, FillCoversChunkRunsExactly) {
+  PageMap<std::uint64_t> map(4 * kChunk, kNoPage);
+  map.fill(kChunk - 2, 2 * kChunk + 3, 1);
+  EXPECT_EQ(map.chunks(), 3u);
+  EXPECT_EQ(map[kChunk - 3], kNoPage);
+  EXPECT_EQ(map[kChunk - 2], 1u);
+  EXPECT_EQ(map[2 * kChunk + 2], 1u);
+  EXPECT_EQ(map[2 * kChunk + 3], kNoPage);
+  // A sentinel fill writes only the chunks that are present.
+  map.fill(0, 4 * kChunk, kNoPage);
+  EXPECT_EQ(map.chunks(), 3u);
+  EXPECT_EQ(map[kChunk], kNoPage);
+}
+
+TEST(PageMap, ClearDropsEveryChunk) {
+  PageMap<std::uint64_t> map(2 * kChunk, kNoPage);
+  map.set(0, 1);
+  map.set(2 * kChunk - 1, 2);
+  ASSERT_EQ(map.chunks(), 2u);
+  map.clear();
+  EXPECT_EQ(map.chunks(), 0u);
+  EXPECT_EQ(map[0], kNoPage);
+  EXPECT_EQ(map[2 * kChunk - 1], kNoPage);
+  EXPECT_EQ(map.size(), 2 * kChunk);
+}
+
+TEST(PageMap, CopyCopiesOnlyPresentChunks) {
+  PageMap<std::uint64_t> source(4 * kChunk, kNoPage);
+  source.set(1, 10);
+  source.set(3 * kChunk + 2, 30);
+  PageMap<std::uint64_t> copy(source);
+  EXPECT_EQ(copy.chunks(), 2u);
+  EXPECT_EQ(copy[1], 10u);
+  EXPECT_EQ(copy[3 * kChunk + 2], 30u);
+  // The copy is independent of its source.
+  copy.set(1, 11);
+  EXPECT_EQ(source[1], 10u);
+
+  // Assignment over a map with other chunks leaves exactly the source's.
+  PageMap<std::uint64_t> target(4 * kChunk, kNoPage);
+  target.set(kChunk, 99);
+  target.set(3 * kChunk, 98);
+  target = source;
+  EXPECT_EQ(target.chunks(), 2u);
+  EXPECT_EQ(target[kChunk], kNoPage);
+  EXPECT_EQ(target[3 * kChunk], kNoPage);
+  EXPECT_EQ(target[3 * kChunk + 2], 30u);
+  EXPECT_EQ(target[1], 10u);
+}
+
+TEST(PageMap, ForEachVisitsStoredEntriesInIndexOrder) {
+  // A size that ends mid-chunk: iteration stops at size().
+  PageMap<std::uint64_t> map(2 * kChunk + 10, kNoPage);
+  map.set(2 * kChunk + 9, 3);
+  map.set(kChunk - 1, 2);
+  map.set(0, 1);
+  map.set(5, 4);
+  map.erase(5);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+  map.for_each(
+      [&](std::uint64_t i, std::uint64_t v) { seen.emplace_back(i, v); });
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected{
+      {0, 1}, {kChunk - 1, 2}, {2 * kChunk + 9, 3}};
+  EXPECT_EQ(seen, expected);
+}
+
+// ---------------------------------------------------------------------------
+// Touched-extent state: a device allocates page-map chunks only for what it
+// writes, and the FTL matches a reference mapping model at full size.
+
+FtlConfig default_journaled_ftl() {
+  FtlConfig config;  // the default 524,288-page geometry
+  config.journal.enabled = true;
+  config.journal.checkpoint_interval_pages = 8;  // fold often
+  return config;
+}
+
+TEST(FtlChunks, FreshDeviceHoldsNoChunksAndASpanAllocatesItsExtent) {
+  const FtlConfig config = default_journaled_ftl();
+  ASSERT_EQ(config.geometry.total_pages(), 524'288u);
+  Ftl ftl(config);
+  EXPECT_EQ(ftl.map_chunks(), 0u);
+  ftl.write_span(0, 35'000);
+  EXPECT_EQ(ftl.l2p_chunks(), (35'000 + kChunk - 1) / kChunk);
+  ftl.check_invariants();
+}
+
+class FtlReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FtlReference, MatchesReferenceMapAtDefaultGeometry) {
+  const FtlConfig config = default_journaled_ftl();
+  Ftl ftl(config);
+  const testing_reference::JournalShape shape{
+      .journals_writes = true,
+      .entries_per_page =
+          config.geometry.page_bytes.count() / config.journal.entry_bytes,
+      .fold_pages = config.journal.checkpoint_interval_pages,
+      .fold_appends = 0};
+  testing_reference::run_reference_differential(ftl, shape, GetParam(), 60);
+  EXPECT_GT(ftl.stats().checkpoint_folds, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FtlReference, ::testing::Values(3, 29, 71));
 
 }  // namespace
 }  // namespace isp::flash

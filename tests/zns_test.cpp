@@ -18,7 +18,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "flash/ftl.hpp"
+#include "flash/page_map.hpp"
 #include "obs/metrics.hpp"
+#include "reference_map.hpp"
 #include "zns/zns.hpp"
 
 namespace isp::zns {
@@ -621,6 +623,47 @@ TEST(ZnsSpan, RejectsOutOfRangeExtents) {
   EXPECT_NO_THROW(zns.write_span(zns.logical_pages(), 0));
   zns.check_invariants();
 }
+
+// ---------------------------------------------------------------------------
+// Touched-extent state: the device allocates page-map chunks only for what
+// it writes, and matches a reference mapping model at full size.
+
+ZnsConfig default_journaled_zns() {
+  ZnsConfig config;  // the default 524,288-page geometry
+  config.journal.enabled = true;
+  config.journal.checkpoint_interval_pages = 8;  // fold often
+  return config;
+}
+
+TEST(ZnsChunks, FreshDeviceHoldsNoChunksAndASpanAllocatesItsExtent) {
+  const ZnsConfig config = default_journaled_zns();
+  ASSERT_EQ(config.geometry.total_pages(), 524'288u);
+  ZnsDevice zns(config);
+  EXPECT_EQ(zns.map_chunks(), 0u);
+  zns.write_span(0, 35'000);
+  constexpr std::uint64_t kChunk = flash::PageMap<flash::Ppn>::kChunkEntries;
+  EXPECT_EQ(zns.l2p_chunks(), (35'000 + kChunk - 1) / kChunk);
+  zns.check_invariants();
+}
+
+class ZnsReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ZnsReference, MatchesReferenceMapAtDefaultGeometry) {
+  const ZnsConfig config = default_journaled_zns();
+  ZnsDevice zns(config);
+  const std::uint64_t entries_per_page =
+      config.geometry.page_bytes.count() / config.journal.entry_bytes;
+  const testing_reference::JournalShape shape{
+      .journals_writes = false,
+      .entries_per_page = entries_per_page,
+      .fold_pages = config.journal.checkpoint_interval_pages,
+      .fold_appends =
+          config.journal.checkpoint_interval_pages * entries_per_page};
+  testing_reference::run_reference_differential(zns, shape, GetParam(), 60);
+  EXPECT_GT(zns.stats().checkpoint_folds, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZnsReference, ::testing::Values(3, 29, 71));
 
 }  // namespace
 }  // namespace isp::zns
