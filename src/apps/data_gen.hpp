@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "ir/program.hpp"
 #include "mem/data_object.hpp"
@@ -124,7 +125,8 @@ void fill_forest(mem::Buffer& buffer, std::size_t trees, std::uint32_t depth,
 // ---- Helpers ----------------------------------------------------------------
 
 /// Build a storage-resident dataset: virtual size from Table I (scaled by the
-/// config), physical payload of `phys_elems` elements filled by `fill`.
+/// config), physical payload of `phys_bytes` sized and filled by `fill` (the
+/// generators above size their buffer themselves, so it is allocated once).
 template <typename Fill>
 ir::Dataset storage_dataset(const std::string& name, Bytes virtual_bytes,
                             std::size_t phys_bytes, std::uint32_t elem_bytes,
@@ -133,9 +135,12 @@ ir::Dataset storage_dataset(const std::string& name, Bytes virtual_bytes,
   d.object.name = name;
   d.object.location = mem::Location::Storage;
   d.object.virtual_bytes = virtual_bytes;
-  d.object.physical.resize_elems<std::byte>(phys_bytes);
   d.elem_bytes = elem_bytes;
   fill(d.object.physical);
+  ISP_CHECK(d.object.physical.size_bytes() == phys_bytes,
+            "fill for '" << name << "' produced "
+                         << d.object.physical.size_bytes()
+                         << " bytes, expected " << phys_bytes);
   return d;
 }
 

@@ -2,8 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "apps/registry.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace isp::apps::detail {
@@ -21,5 +24,30 @@ inline std::size_t phys_elems(Bytes virtual_bytes, const AppConfig& config,
   const auto n = static_cast<std::size_t>(phys / elem_bytes);
   return n > 0 ? n : 1;
 }
+
+/// Dense ids in first-seen order over the raw id domain [0, domain): the
+/// id compaction of the CSR builds.  A flat table indexed by raw id, sized
+/// from the generator's domain; an id outside it fails loudly.
+class FirstSeenIds {
+ public:
+  explicit FirstSeenIds(std::uint32_t domain) : table_(domain, kUnseen) {}
+
+  std::uint32_t operator()(std::uint32_t raw) {
+    ISP_CHECK(raw < table_.size(), "id " << raw << " outside the domain [0, "
+                                         << table_.size() << ")");
+    auto& id = table_[raw];
+    if (id == kUnseen) id = count_++;
+    return id;
+  }
+
+  /// Distinct ids seen so far.
+  [[nodiscard]] std::uint32_t count() const { return count_; }
+
+ private:
+  static constexpr std::uint32_t kUnseen =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> table_;
+  std::uint32_t count_ = 0;
+};
 
 }  // namespace isp::apps::detail

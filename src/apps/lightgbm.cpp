@@ -4,6 +4,7 @@
 // squashed and thresholded into labels and summarised into a tiny histogram.
 // Inference is branchy per row — the kind of code the CSE's in-order cores
 // run at a disadvantage — so only part of the pipeline offloads profitably.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <span>
@@ -24,18 +25,35 @@ constexpr std::size_t kFileRowBytes = kFeatures * sizeof(double);
 constexpr std::size_t kRowBytes = kFeatures * sizeof(float);
 constexpr std::size_t kNodesPerTree = (std::size_t{1} << kDepth) - 1;
 
-float score_row(const float* row, std::span<const TreeNode> forest) {
-  float margin = 0.0F;
+/// Rows scored together: each tree is walked by kRowBlock rows at once, one
+/// level at a time, so their node loads overlap instead of each row's
+/// dependent chain of loads running alone.
+constexpr std::size_t kRowBlock = 8;
+
+/// Score `count` (at most kRowBlock) consecutive rows into `margins`.  Each
+/// row's margin is summed in tree order, exactly as a row-at-a-time walk
+/// sums it.  fill_forest builds complete trees, so every walk reaches a leaf
+/// after kDepth - 1 hops.
+void score_block(const float* rows, std::size_t count,
+                 std::span<const TreeNode> forest, float* margins) {
+  std::array<float, kRowBlock> margin{};
   for (std::size_t t = 0; t < kTrees; ++t) {
     const TreeNode* tree = forest.data() + t * kNodesPerTree;
-    std::size_t node = 0;
-    while (tree[node].feature >= 0) {
-      const float v = row[tree[node].feature];
-      node = 2 * node + (v <= tree[node].threshold ? 1 : 2);
+    std::array<std::size_t, kRowBlock> node{};
+    for (std::uint32_t level = 1; level < kDepth; ++level) {
+      for (std::size_t r = 0; r < count; ++r) {
+        const TreeNode& split = tree[node[r]];
+        const float v =
+            rows[r * kFeatures + static_cast<std::size_t>(split.feature)];
+        node[r] = 2 * node[r] + (v <= split.threshold ? 1 : 2);
+      }
     }
-    margin += tree[node].threshold;  // leaf value
+    for (std::size_t r = 0; r < count; ++r) {
+      ISP_DCHECK(tree[node[r]].feature < 0, "forest walk ended off a leaf");
+      margin[r] += tree[node[r]].threshold;  // leaf value
+    }
   }
-  return margin;
+  for (std::size_t r = 0; r < count; ++r) margins[r] = margin[r];
 }
 
 }  // namespace
@@ -104,8 +122,9 @@ ir::Program make_lightgbm(const AppConfig& config) {
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(n);
       auto dst = out.physical.as<float>();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = score_row(feats.data() + i * kFeatures, forest);
+      for (std::size_t i = 0; i < n; i += kRowBlock) {
+        score_block(feats.data() + i * kFeatures,
+                    std::min(kRowBlock, n - i), forest, dst.data() + i);
       }
     };
     program.add_line(std::move(line));

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/data_gen.hpp"
@@ -48,17 +47,11 @@ const std::uint32_t* csr_cols(const std::byte* base, std::uint64_t v) {
       base + sizeof(CsrHeader) + (v + 1) * sizeof(std::uint64_t));
 }
 
-void build_csr(ir::KernelCtx& ctx) {
+void build_csr(ir::KernelCtx& ctx, std::uint32_t vertices) {
   const auto edges = ctx.input(0).physical.as<Edge>();
 
   // Compact the vertex id space: dense ids in first-seen order.
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
-  remap.reserve(edges.size());
-  auto id_of = [&](std::uint32_t v) {
-    const auto [it, inserted] =
-        remap.try_emplace(v, static_cast<std::uint32_t>(remap.size()));
-    return it->second;
-  };
+  detail::FirstSeenIds id_of(vertices);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> compact;
   compact.reserve(edges.size());
   for (const auto& e : edges) {
@@ -69,7 +62,7 @@ void build_csr(ir::KernelCtx& ctx) {
     const auto dst = id_of(e.dst);
     compact.emplace_back(src, dst);
   }
-  const std::uint64_t v_count = remap.size();
+  const std::uint64_t v_count = id_of.count();
   const std::uint64_t e_count = compact.size();
 
   auto& out = ctx.output(0);
@@ -170,7 +163,9 @@ ir::Program make_pagerank(const AppConfig& config) {
     line.host_threads = 1;
     line.csd_threads = 6;
     line.chunks = 64;
-    line.kernel = build_csr;
+    line.kernel = [vertices](ir::KernelCtx& ctx) {
+      build_csr(ctx, vertices);
+    };
     program.add_line(std::move(line));
   }
 

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/data_gen.hpp"
@@ -65,16 +64,10 @@ const float* vals_of(const std::byte* base, std::uint64_t v,
       n * sizeof(std::uint32_t));
 }
 
-void build_csr(ir::KernelCtx& ctx) {
+void build_csr(ir::KernelCtx& ctx, std::uint32_t ids) {
   const auto triplets = ctx.input(0).physical.as<Triplet>();
 
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
-  remap.reserve(triplets.size());
-  auto id_of = [&](std::uint32_t v) {
-    const auto [it, inserted] =
-        remap.try_emplace(v, static_cast<std::uint32_t>(remap.size()));
-    return it->second;
-  };
+  detail::FirstSeenIds id_of(ids);
   std::vector<Triplet> compact;
   compact.reserve(triplets.size());
   for (const auto& t : triplets) {
@@ -84,7 +77,7 @@ void build_csr(ir::KernelCtx& ctx) {
     const auto col = id_of(t.col);
     compact.push_back(Triplet{row, col, t.value});
   }
-  const std::uint64_t v_count = remap.size();
+  const std::uint64_t v_count = id_of.count();
   const std::uint64_t nnz = compact.size();
 
   auto& out = ctx.output(0);
@@ -154,9 +147,10 @@ ir::Program make_sparsemv(const AppConfig& config) {
       sizeof(TripletRecord), [&](mem::Buffer& b) {
         b.resize_elems<TripletRecord>(nnz);
         Rng rng = Rng{config.seed}.fork(0x50a7);
+        const ZipfDraw zipf(ids, 0.65);
         for (auto& t : b.as<TripletRecord>()) {
-          t.row = static_cast<std::uint32_t>(rng.zipf(ids, 0.65));
-          t.col = static_cast<std::uint32_t>(rng.zipf(ids, 0.65));
+          t.row = static_cast<std::uint32_t>(zipf(rng));
+          t.col = static_cast<std::uint32_t>(zipf(rng));
           t.value = rng.uniform(-1.0, 1.0);
         }
       }));
@@ -194,7 +188,7 @@ ir::Program make_sparsemv(const AppConfig& config) {
     line.host_threads = 1;
     line.csd_threads = 6;
     line.chunks = 64;
-    line.kernel = build_csr;
+    line.kernel = [ids](ir::KernelCtx& ctx) { build_csr(ctx, ids); };
     program.add_line(std::move(line));
   }
 

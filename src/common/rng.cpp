@@ -84,22 +84,33 @@ double Rng::normal(double mean, double stddev) {
 }
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {
+  return ZipfDraw{n, s}(*this);
+}
+
+// Inverse-CDF approximation over the continuous Zipf envelope (Gray et al.,
+// "Quickly generating billion-record synthetic databases").
+ZipfDraw::ZipfDraw(std::uint64_t n, double s) : n_(n), harmonic_(s == 1.0) {
   ISP_CHECK(n > 0, "zipf over empty domain");
-  if (n == 1) return 0;
-  // Inverse-CDF approximation over the continuous Zipf envelope
-  // (Gray et al., "Quickly generating billion-record synthetic databases").
   const double nd = static_cast<double>(n);
-  if (s == 1.0) {
-    const double u = next_double();
-    const double x = std::exp(u * std::log(nd));
+  if (harmonic_) {
+    log_n_ = std::log(nd);
+  } else {
+    const double one_minus_s = 1.0 - s;
+    span_ = std::pow(nd, one_minus_s) - 1.0;
+    inv_exponent_ = 1.0 / one_minus_s;
+  }
+}
+
+std::uint64_t ZipfDraw::operator()(Rng& rng) const {
+  if (n_ == 1) return 0;
+  const double u = rng.next_double();
+  if (harmonic_) {
+    const double x = std::exp(u * log_n_);
     return static_cast<std::uint64_t>(x) - 1;
   }
-  const double u = next_double();
-  const double one_minus_s = 1.0 - s;
-  const double x =
-      std::pow(u * (std::pow(nd, one_minus_s) - 1.0) + 1.0, 1.0 / one_minus_s);
+  const double x = std::pow(u * span_ + 1.0, inv_exponent_);
   auto rank = static_cast<std::uint64_t>(x);
-  if (rank >= n) rank = n - 1;
+  if (rank >= n_) rank = n_ - 1;
   return rank;
 }
 

@@ -32,8 +32,10 @@ class Rng {
   /// Standard normal via Box–Muller (deterministic, caches the pair).
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Zipf-distributed integer in [0, n) with exponent s (via rejection
-  /// sampling against the Zipf envelope; deterministic).
+  /// Zipf-distributed integer in [0, n) with exponent s (inverse CDF of
+  /// the continuous Zipf envelope; deterministic).  One draw of
+  /// ZipfDraw{n, s}: loops drawing many ranks over one domain should build
+  /// the ZipfDraw once.
   std::uint64_t zipf(std::uint64_t n, double s);
 
   /// A derived generator whose stream is independent of this one.
@@ -53,6 +55,23 @@ class Rng {
   std::uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
+};
+
+/// Zipf-distributed ranks in [0, n) with exponent s, with the per-domain
+/// constants of the inverse CDF computed once.  Each draw consumes one
+/// next_double() (none when n == 1) and is bit-identical to Rng::zipf.
+class ZipfDraw {
+ public:
+  ZipfDraw(std::uint64_t n, double s);
+
+  std::uint64_t operator()(Rng& rng) const;
+
+ private:
+  std::uint64_t n_;
+  bool harmonic_;              // s == 1: the envelope's CDF is logarithmic
+  double log_n_ = 0.0;         // ln n (harmonic case)
+  double span_ = 0.0;          // n^(1-s) - 1
+  double inv_exponent_ = 0.0;  // 1 / (1-s)
 };
 
 /// splitmix64 single step — also useful as a cheap stateless hash for

@@ -125,7 +125,9 @@ class Program {
   /// Raw input volume: the Table-I "data size" of the program.
   [[nodiscard]] Bytes total_storage_bytes() const;
 
-  /// Fresh store populated with (copies of) the initial datasets.
+  /// Fresh store populated with the initial datasets.  The store's objects
+  /// share the datasets' payloads copy-on-write (mem::Buffer), so a run
+  /// costs no payload copy and cannot modify the program's datasets.
   [[nodiscard]] ObjectStore make_store() const;
 
   /// The initial datasets' names, locations and virtual sizes without their

@@ -1,13 +1,21 @@
-// Unit + property tests: address space, allocator, data objects.
+// Unit + property tests: address space, allocator, data objects, and the
+// copy-on-write sharing of payloads between a program and its runs.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
+#include "apps/registry.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "exec/pool.hpp"
 #include "mem/address_space.hpp"
 #include "mem/allocator.hpp"
 #include "mem/data_object.hpp"
+#include "recovery/recovery.hpp"
+#include "runtime/engine.hpp"
 
 namespace isp::mem {
 namespace {
@@ -150,6 +158,125 @@ TEST(Buffer, TypedViews) {
   EXPECT_DOUBLE_EQ(const_buffer.as<double>()[3], -2.5);
   buffer.clear();
   EXPECT_TRUE(buffer.empty());
+}
+
+/// A Buffer of `n` ints holding 0, 1, ..., n-1.
+Buffer iota_buffer(std::size_t n) {
+  Buffer buffer;
+  buffer.resize_elems<int>(n);
+  auto view = buffer.as<int>();
+  for (std::size_t i = 0; i < n; ++i) view[i] = static_cast<int>(i);
+  return buffer;
+}
+
+TEST(BufferSharing, CopySharesBytes) {
+  const Buffer a = iota_buffer(4);
+  const Buffer b = a;
+  EXPECT_EQ(a.as<int>().data(), b.as<int>().data());
+  EXPECT_EQ(b.size_as<int>(), 4u);
+}
+
+TEST(BufferSharing, MutableViewDetachesAndLeavesOtherCopyUnchanged) {
+  Buffer a = iota_buffer(4);
+  Buffer b = a;
+  const int* shared = std::as_const(a).as<int>().data();
+  auto view = b.as<int>();  // b takes a private copy before handing it out
+  EXPECT_NE(view.data(), shared);
+  view[0] = 99;
+  EXPECT_EQ(std::as_const(a).as<int>()[0], 0);
+  EXPECT_EQ(std::as_const(b).as<int>()[0], 99);
+  EXPECT_EQ(std::as_const(b).as<int>()[3], 3);
+  // a is now the bytes' only owner: its mutable view writes in place.
+  EXPECT_EQ(a.as<int>().data(), shared);
+}
+
+TEST(BufferSharing, ConstViewsNeverDetach) {
+  Buffer a = iota_buffer(4);
+  Buffer b = a;
+  const int* shared = std::as_const(a).as<int>().data();
+  EXPECT_EQ(b.as<const int>().data(), shared);
+  EXPECT_EQ(b.as<const std::byte>().data(),
+            reinterpret_cast<const std::byte*>(shared));
+  EXPECT_EQ(std::as_const(b).as<int>().data(), shared);
+  EXPECT_EQ(a.as<const int>().data(), shared);
+}
+
+TEST(BufferSharing, ResizeAndClearLeaveOtherCopiesIntact) {
+  const Buffer a = iota_buffer(4);
+  Buffer resized = a;
+  Buffer cleared = a;
+  resized.resize_elems<int>(2);
+  cleared.clear();
+  EXPECT_NE(resized.as<const int>().data(), a.as<int>().data());
+  EXPECT_EQ(resized.as<const int>()[0], 0);
+  EXPECT_EQ(resized.as<const int>()[1], 0);
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_TRUE(cleared.as<int>().empty());
+  ASSERT_EQ(a.size_as<int>(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.as<int>()[i], i);
+}
+
+TEST(BufferSharing, EmptyBufferHasEmptyViews) {
+  Buffer empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size_bytes(), 0u);
+  EXPECT_TRUE(empty.as<double>().empty());
+  EXPECT_TRUE(std::as_const(empty).as<double>().empty());
+  const Buffer copy = empty;
+  EXPECT_TRUE(copy.empty());
+}
+
+std::uint64_t dataset_digest(const ir::Program& program) {
+  std::uint64_t h = kFnvOffset;
+  for (const auto& d : program.datasets()) {
+    const auto bytes = d.object.physical.as<const std::byte>();
+    h = fnv1a_bytes(h, bytes.data(), bytes.size());
+  }
+  return h;
+}
+
+// Four workers run one Program functionally, each from its own make_store():
+// every run reads the program's dataset bytes without copying them, computes
+// the same outputs, and a write through a run's store (which detaches that
+// store's copy) never reaches the program.
+TEST(BufferSharing, ParallelFunctionalRunsShareOneProgram) {
+  apps::AppConfig config;
+  config.size_factor = 0.05;
+  config.seed = 7;
+  for (const char* app : {"tpch-q14", "pagerank"}) {
+    const auto program = apps::make_app(app, config);
+    const auto before = dataset_digest(program);
+    const auto* first_bytes =
+        program.datasets().front().object.physical.as<std::byte>().data();
+
+    const auto digests = exec::run_batch(
+        std::size_t{8},
+        [&](std::size_t) {
+          auto store = program.make_store();
+          const auto& name = program.datasets().front().object.name;
+          const auto& shared = std::as_const(store).at(name).physical;
+          EXPECT_EQ(shared.as<std::byte>().data(), first_bytes);
+          runtime::EngineOptions options;
+          options.monitoring = false;
+          options.migration = false;
+          system::SystemModel system;
+          runtime::run_program(system, program,
+                               ir::Plan::host_only(program.line_count()),
+                               codegen::ExecMode::NativeC, options, &store);
+          const auto digest = recovery::digest_outputs(program, store);
+          auto bytes = store.at(name).physical.as<std::byte>();
+          bytes[0] = ~bytes[0];
+          return digest;
+        },
+        4);
+
+    for (const auto digest : digests) {
+      EXPECT_EQ(digest, digests.front()) << app;
+    }
+    EXPECT_EQ(dataset_digest(program), before) << app;
+    const auto& first = program.datasets().front().object.physical;
+    EXPECT_EQ(first.as<std::byte>().data(), first_bytes) << app;
+  }
 }
 
 TEST(DataObject, SyncVirtualSize) {
