@@ -30,7 +30,6 @@
 //   --deadline S           per-job start deadline in virtual seconds
 //                          (0 disables deadlines)                     [0]
 //   --fail-rate R          DeviceFailure rate for the seeded section  [0.05]
-//   --plan-cache on|off    incremental lane index + Eq.1 bid cache    [on]
 //   --sim-cache on|off     digest-verified engine-run memo cache      [on]
 //   --trace-out P          write the last kill run's fleet timeline
 //   --jobs N               worker threads for the simulation batches
@@ -57,9 +56,8 @@ struct ChaosKnobs {
   double fleet_skew = 0.05;
   double slo = 0.0;
   unsigned jobs = 1;
-  // Hot-path caches (PR 7) — exact either way; the determinism gate below
-  // holds with any combination of the two toggles.
-  bool plan_cache = true;
+  // Engine-run memo cache — exact either way; the determinism gate below
+  // holds with it on or off.
   bool sim_cache = true;
 };
 
@@ -83,7 +81,6 @@ isp::serve::ServeConfig make_config(std::size_t fleet,
   config.jobs = knobs.jobs;
   config.retry_budget = knobs.retry_budget;
   config.breaker.threshold = knobs.breaker_threshold;
-  config.plan_cache = knobs.plan_cache;
   config.sim_cache = knobs.sim_cache;
   return config;
 }
@@ -112,7 +109,6 @@ int main(int argc, char** argv) {
   knobs.fleet_skew =
       exec::double_flag(argc, argv, "--fleet-skew", 0.05, 0.0, 0.33);
   knobs.slo = exec::double_flag(argc, argv, "--deadline", 0.0, 0.0, 1e6);
-  knobs.plan_cache = exec::on_off_flag(argc, argv, "--plan-cache", true);
   knobs.sim_cache = exec::on_off_flag(argc, argv, "--sim-cache", true);
   const double fail_rate =
       exec::double_flag(argc, argv, "--fail-rate", 0.05, 0.0, 1e3);

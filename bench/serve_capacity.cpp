@@ -18,9 +18,7 @@
 //   --retry-budget R  serve-layer retries per job lost to a death  [2]
 //   --breaker-threshold X  per-lane health breaker trip score      [12]
 //   --fleet-skew S    per-device CSE availability skew             [0.05]
-//   --plan-cache on|off  incremental lane index + Eq.1 bid cache   [on]
 //   --sim-cache on|off   digest-verified engine-run memo cache     [on]
-//   --span on|off        extent storage data plane (exact)         [on]
 //   --jobs N          worker threads for the simulation batches
 //   --quick           one grid point per fleet size (sanitizer CI)
 //   --trace-out P     write the last grid point's fleet Perfetto timeline
@@ -50,12 +48,9 @@ struct DomainKnobs {
   std::uint32_t retry_budget = 2;
   double breaker_threshold = 12.0;
   double fleet_skew = 0.05;
-  // Hot-path caches (PR 7) — exact, so output is identical either way; the
-  // toggles exist for the off-arm of bench/serve_hotpath and bisecting.
-  bool plan_cache = true;
+  // Engine-run memo cache — exact, so output is identical either way; the
+  // toggle exists for bisecting.
   bool sim_cache = true;
-  // Extent storage data plane (PR 10) — same exactness contract.
-  bool span_io = true;
 };
 
 isp::serve::ServeConfig make_config(std::size_t fleet, double offered_load,
@@ -85,9 +80,7 @@ isp::serve::ServeConfig make_config(std::size_t fleet, double offered_load,
   }
   config.retry_budget = domain.retry_budget;
   config.breaker.threshold = domain.breaker_threshold;
-  config.plan_cache = domain.plan_cache;
   config.sim_cache = domain.sim_cache;
-  config.span_io = domain.span_io;
   // ~1.7 s and ~2.6 s of virtual service: with the default middle load of
   // 1 job/s the sweep straddles the fleet's saturation point.
   config.job_classes = {serve::JobClass{.app = "tpch-q6", .size_factor = 0.2},
@@ -121,9 +114,7 @@ int main(int argc, char** argv) {
       exec::double_flag(argc, argv, "--breaker-threshold", 12.0, 1e-3, 1e6);
   domain.fleet_skew =
       exec::double_flag(argc, argv, "--fleet-skew", 0.05, 0.0, 0.33);
-  domain.plan_cache = exec::on_off_flag(argc, argv, "--plan-cache", true);
   domain.sim_cache = exec::on_off_flag(argc, argv, "--sim-cache", true);
-  domain.span_io = exec::on_off_flag(argc, argv, "--span", true);
   const char* trace_out = exec::string_flag(argc, argv, "--trace-out", nullptr);
   const char* metrics_out =
       exec::string_flag(argc, argv, "--metrics-out", nullptr);

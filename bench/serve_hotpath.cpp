@@ -1,23 +1,20 @@
-// Serving hot-path benchmark: end-to-end serve() throughput with the PR 7
-// caches on vs off, gated on both speedup and byte-identity.
+// Serving hot-path benchmark: end-to-end serve() throughput with the
+// engine-run memo cache on vs off, gated on both speedup and byte-identity.
 //
 // Sweeps fleet size x offered job count and, per grid point, runs the
 // identical workload three ways:
 //
-//   off     plan_cache=off, sim_cache=off, span_io=off — the legacy
-//           O(lanes) scans, one engine simulation per dispatch, and
-//           page-at-a-time storage loops (the pre-optimisation hot path).
-//   on      the incremental lane index + Eq.1 bid cache + digest-verified
-//           engine-run memo cache + extent storage data plane (whatever
-//           --plan-cache/--sim-cache/--span say).
+//   off     sim_cache=off — one engine simulation per dispatch.
+//   on      the digest-verified engine-run memo cache (whatever --sim-cache
+//           says).
 //   serial  the on-arm re-run at --jobs 1.
 //
 // Two gates, both hard failures:
 //
 //   1. Identity — the serve report digest, the metrics registry digest and
 //      the FNV-1a digest of the fleet Perfetto trace must be byte-identical
-//      across all three arms at every grid point.  The caches are exact or
-//      they are wrong.
+//      across all three arms at every grid point.  The cache is exact or it
+//      is wrong.
 //   2. Speedup — at the largest fleet x jobs point the on-arm must complete
 //      the sweep at >= 2x the off-arm's end-to-end wall throughput.
 //
@@ -28,9 +25,7 @@
 // Flags (strict parsing, exit 2 on malformed values — the PR 2 convention):
 //   --hotpath-fleet F    largest fleet size in the sweep              [8]
 //   --fleet-skew S       per-device CSE availability skew             [0.0]
-//   --plan-cache on|off  lane index + bid cache in the on-arm         [on]
 //   --sim-cache on|off   engine-run memo cache in the on-arm          [on]
-//   --span on|off        extent storage data plane in the on-arm     [on]
 //   --jobs N             worker threads for the simulation batches
 //   --quick              largest fleet only, one job count (sanitizer CI)
 #include <chrono>
@@ -68,8 +63,7 @@ isp::serve::ServeConfig make_config(std::size_t fleet,
   config.total_jobs = total_jobs;
   // Roughly 2x the fleet's service capacity (~fleet/2 jobs per virtual
   // second at these job classes): the queues stay deep, so candidate starts
-  // sit on lane busy_until instead of per-job arrival instants — the
-  // regime the bid cache is built for.
+  // sit on lane busy_until instead of per-job arrival instants.
   config.offered_load = static_cast<double>(fleet);
   config.jobs = jobs;
   return config;
@@ -104,9 +98,7 @@ int main(int argc, char** argv) {
   // identity (and usually still clears 2x) but shrinks the hit rate.
   const double skew =
       exec::double_flag(argc, argv, "--fleet-skew", 0.0, 0.0, 0.33);
-  const bool plan_cache = exec::on_off_flag(argc, argv, "--plan-cache", true);
   const bool sim_cache = exec::on_off_flag(argc, argv, "--sim-cache", true);
-  const bool span_io = exec::on_off_flag(argc, argv, "--span", true);
 
   std::vector<std::size_t> fleets;
   if (!quick) {
@@ -119,15 +111,13 @@ int main(int argc, char** argv) {
             : std::vector<std::uint64_t>{32, 96};
 
   bench::print_header(
-      "Serving hot path: lane index + bid cache + engine-run memo, on vs "
-      "off, identity-gated");
-  std::printf("on-arm: plan-cache %s, sim-cache %s, span %s; off-arm: all "
-              "off (scalar data plane); identical digests required\n\n",
-              plan_cache ? "on" : "off", sim_cache ? "on" : "off",
-              span_io ? "on" : "off");
-  std::printf("%5s %5s | %9s %9s %8s | %6s %6s %6s | %5s %5s\n", "fleet",
+      "Serving hot path: engine-run memo, on vs off, identity-gated");
+  std::printf("on-arm: sim-cache %s; off-arm: sim-cache off; identical "
+              "digests required\n\n",
+              sim_cache ? "on" : "off");
+  std::printf("%5s %5s | %9s %9s %8s | %6s %6s | %5s %5s\n", "fleet",
               "jobs", "off s", "on s", "speedup", "simhit", "simmis",
-              "bidhit", "ident", "gate");
+              "ident", "gate");
   bench::print_rule();
 
   std::vector<std::string> entries;
@@ -135,20 +125,14 @@ int main(int argc, char** argv) {
   for (const std::size_t fleet : fleets) {
     for (const std::uint64_t total : job_counts) {
       auto off_config = make_config(fleet, total, skew, jobs);
-      off_config.plan_cache = false;
       off_config.sim_cache = false;
-      // The off-arm also pins the scalar storage loops, so the identity
-      // gate below doubles as the span-vs-scalar byte-equality check.
-      off_config.span_io = false;
       const auto off0 = Clock::now();
       const auto off = serve::serve(off_config);
       const double wall_off =
           std::chrono::duration<double>(Clock::now() - off0).count();
 
       auto on_config = make_config(fleet, total, skew, jobs);
-      on_config.plan_cache = plan_cache;
       on_config.sim_cache = sim_cache;
-      on_config.span_io = span_io;
       const auto on0 = Clock::now();
       const auto on = serve::serve(on_config);
       const double wall_on =
@@ -165,21 +149,19 @@ int main(int argc, char** argv) {
 
       const double speedup = wall_on > 0.0 ? wall_off / wall_on : 0.0;
       // The throughput gate binds only at the largest point, and only with
-      // both caches in the on-arm.  Unlike a serial-vs-parallel ratio this
+      // the memo cache in the on-arm.  Unlike a serial-vs-parallel ratio this
       // speedup is meaningful on a single-core host too — the memo cache
       // removes engine runs outright rather than overlapping them.
       const bool gated = fleet == fleets.back() && total == job_counts.back() &&
-                         plan_cache && sim_cache;
+                         sim_cache;
       const bool fast_enough = !gated || speedup >= 2.0;
       ok = ok && identical && fast_enough;
 
-      std::printf("%5zu %5llu | %9.3f %9.3f %7.2fx | %6llu %6llu %6llu | "
-                  "%5s %5s\n",
+      std::printf("%5zu %5llu | %9.3f %9.3f %7.2fx | %6llu %6llu | %5s %5s\n",
                   fleet, static_cast<unsigned long long>(total), wall_off,
                   wall_on, speedup,
                   static_cast<unsigned long long>(on.sim_cache_hits),
                   static_cast<unsigned long long>(on.sim_cache_misses),
-                  static_cast<unsigned long long>(on.bid_cache_hits),
                   identical ? "ok" : "DIFF",
                   gated ? (fast_enough ? "pass" : "FAIL") : "-");
 
@@ -189,7 +171,6 @@ int main(int argc, char** argv) {
           "    {\"fleet\": %zu, \"jobs\": %llu, \"wall_off_s\": %.6f, "
           "\"wall_on_s\": %.6f, \"speedup\": %.4f, \"sim_cache_hits\": %llu, "
           "\"sim_cache_misses\": %llu, \"sim_cache_evictions\": %llu, "
-          "\"bid_cache_hits\": %llu, \"bid_cache_misses\": %llu, "
           "\"digests_match\": %s, \"gated\": %s, "
           "\"digest\": \"0x%016llx\"}",
           fleet, static_cast<unsigned long long>(total), wall_off, wall_on,
@@ -197,8 +178,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(on.sim_cache_hits),
           static_cast<unsigned long long>(on.sim_cache_misses),
           static_cast<unsigned long long>(on.sim_cache_evictions),
-          static_cast<unsigned long long>(on.bid_cache_hits),
-          static_cast<unsigned long long>(on.bid_cache_misses),
           identical ? "true" : "false", gated ? "true" : "false",
           static_cast<unsigned long long>(on.digest));
       entries.push_back(row);

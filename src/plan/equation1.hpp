@@ -65,10 +65,9 @@ struct Eq1Contention {
 [[nodiscard]] Seconds net_profit_under_contention(const Eq1Terms& terms,
                                                   const Eq1Contention& c);
 
-/// The two sides of S' exposed separately, so a caller that caches one side
-/// (the serving layer's bid cache re-prices a lane's bid when only the
-/// host-side wait changed) can recombine without drifting from the one-shot
-/// form: net_profit_under_contention() is exactly
+/// The two sides of S' exposed separately, so a caller can report or
+/// recombine them without drifting from the one-shot form:
+/// net_profit_under_contention() is exactly
 /// host_side_cost() − device_side_cost(), bit for bit (asserted in
 /// plan_test).  Argument checks live on net_profit_under_contention();
 /// these are the raw arithmetic.

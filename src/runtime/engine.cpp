@@ -258,24 +258,16 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
   // Write-back traffic walks the logical space with a wrapping cursor, so
   // it is naturally extent-shaped: whole contiguous runs go through the
   // backend's span fast path (bit-for-bit the scalar loop by the
-  // StorageBackend contract; options.span_io = false keeps the scalar loop
-  // for differential testing).
+  // StorageBackend contract, pinned by the backends' span-vs-scalar
+  // differential tests).
   auto backend_write_pages = [&](std::uint64_t pages) {
     const std::uint64_t logical = backend->logical_pages();
-    if (options.span_io) {
-      while (pages > 0) {
-        const flash::Lpn first = wb_cursor % logical;
-        const std::uint64_t run =
-            std::min<std::uint64_t>(pages, logical - first);
-        backend->write_span(first, run);
-        wb_cursor += run;
-        pages -= run;
-      }
-    } else {
-      for (std::uint64_t p = 0; p < pages; ++p) {
-        backend->write(wb_cursor % logical);
-        ++wb_cursor;
-      }
+    while (pages > 0) {
+      const flash::Lpn first = wb_cursor % logical;
+      const std::uint64_t run = std::min<std::uint64_t>(pages, logical - first);
+      backend->write_span(first, run);
+      wb_cursor += run;
+      pages -= run;
     }
   };
   if (backend != nullptr && backend->mounted()) {

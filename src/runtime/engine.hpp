@@ -91,13 +91,6 @@ struct EngineOptions {
   /// stall — the §II-B(3) contention made explicit per run.  Off by
   /// default: the fault-free timing path is bit-for-bit unchanged.
   bool drive_storage = false;
-  /// Issue the storage traffic the engine drives as extent (span) calls on
-  /// the backend instead of page-at-a-time writes.  The backends' span
-  /// paths are contractually bit-for-bit equivalent to the scalar loops
-  /// (state, stats, journal, recovery), so this changes wall-clock only —
-  /// reports, digests and metrics are identical either way.  On by
-  /// default; off pins the scalar loops for differential testing.
-  bool span_io = true;
   /// Observability sink (optional).  When set, the engine folds per-line
   /// placements, migrations, monitor/status-update traffic, fault-site
   /// counters, and the device FTL's GC/journal/write-amplification stats

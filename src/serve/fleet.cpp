@@ -60,7 +60,6 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   stats_.assign(lane_count(), LaneStats{});
   gate_.assign(lane_count(), SimTime::zero());
   kill_at_.assign(lane_count(), SimTime::infinity());
-  epoch_.assign(lane_count(), 0);
   for (std::size_t lane = 0; lane < lane_count(); ++lane) {
     ready_order_.emplace(SimTime::zero(), lane);
   }
@@ -78,14 +77,6 @@ std::size_t Fleet::busy_devices_after(SimTime t) const {
   const auto it = std::upper_bound(device_busy_sorted_.begin(),
                                    device_busy_sorted_.end(), t);
   return static_cast<std::size_t>(device_busy_sorted_.end() - it);
-}
-
-std::size_t Fleet::busy_devices_after_scan(SimTime t) const {
-  std::size_t n = 0;
-  for (std::size_t lane = 0; lane < config_.devices.size(); ++lane) {
-    if (busy_until_[lane] > t) ++n;
-  }
-  return n;
 }
 
 double Fleet::contended_link_share(std::size_t lane,
@@ -147,7 +138,7 @@ void Fleet::note_lost(std::size_t lane) {
   stats_[lane].lost_jobs += 1;
 }
 
-// ---- Incremental lane-state index (PR 7) ---------------------------------
+// ---- Incremental lane-state index ----------------------------------------
 
 void Fleet::reindex(std::size_t lane, SimTime old_busy) {
   ready_order_.erase({old_busy, lane});  // no-op if already removed
@@ -165,9 +156,7 @@ void Fleet::reindex(std::size_t lane, SimTime old_busy) {
         std::lower_bound(device_busy_sorted_.begin(),
                          device_busy_sorted_.end(), now_busy),
         now_busy);
-    ++fleet_epoch_;
   }
-  ++epoch_[lane];
 }
 
 void Fleet::set_kill_at(std::size_t lane, SimTime at) {
@@ -179,15 +168,12 @@ void Fleet::set_kill_at(std::size_t lane, SimTime at) {
     // Doomed already: the lane can never start another job.
     ready_order_.erase({busy_until_[lane], lane});
   }
-  ++epoch_[lane];
 }
 
 void Fleet::set_gate(std::size_t lane, SimTime at) {
   ISP_CHECK(lane < config_.devices.size(),
             "breaker gates are per-device; lane " << lane << " is host");
-  if (gate_[lane] == at) return;  // quiet breakers don't invalidate bids
   gate_[lane] = at;
-  ++epoch_[lane];
 }
 
 SimTime Fleet::earliest_feasible_start(SimTime arrival) const {

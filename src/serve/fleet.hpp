@@ -110,13 +110,9 @@ class Fleet {
   }
 
   /// Devices (not host lanes) still busy strictly after `t` — O(log n) off
-  /// the sorted busy index (PR 7).  Dead lanes count through their clamped
-  /// busy_until, exactly like the reference scan.
+  /// the sorted busy index.  Dead lanes count through their clamped
+  /// busy_until.
   [[nodiscard]] std::size_t busy_devices_after(SimTime t) const;
-
-  /// The pre-index O(devices) reference scan, kept for the legacy
-  /// (`plan_cache` off) decision path and the index property tests.
-  [[nodiscard]] std::size_t busy_devices_after_scan(SimTime t) const;
 
   /// Link share a device gets when `busy_devices` devices (including
   /// itself) are drawing on the host link: provisioned share capped by
@@ -133,8 +129,7 @@ class Fleet {
                     std::uint32_t power_losses, std::uint64_t faults);
 
   /// Fold a finished storage-driven job's backend activity into the lane's
-  /// stats (serial fold phase only, adjacent to occupy() so the epoch bump
-  /// covers the change for cached bids).
+  /// stats (serial fold phase only).
   void note_storage(std::size_t lane, std::uint64_t host_pages,
                     std::uint64_t internal_pages, std::uint64_t resets,
                     Seconds reclaim_time);
@@ -157,18 +152,15 @@ class Fleet {
     return stats_[lane];
   }
 
-  // ---- Incremental lane-state index (PR 7) -------------------------------
+  // ---- Incremental lane-state index --------------------------------------
   //
   // The serving loop's decision phase needs three queries per job —
   // "earliest instant any lane could start", "next lane to free up", and
-  // "devices busy after t" — that were all O(lanes) scans.  The index keeps
-  // a busy-ordered set of the *schedulable* lanes (living, not yet doomed
-  // by a registered kill) plus a sorted vector of every device lane's
-  // busy_until, updated on occupy / mark_dead / gate changes, so each query
-  // is O(log lanes).  Epochs version the state for the Eq.1 bid cache: a
-  // lane's cached bid is valid only while its lane epoch (own busy / death
-  // / breaker gate) and the fleet epoch (any device's busy or death — the
-  // link-contention input) both still match.
+  // "devices busy after t".  The index keeps a busy-ordered set of the
+  // *schedulable* lanes (living, not yet doomed by a registered kill) plus a
+  // sorted vector of every device lane's busy_until, updated on occupy /
+  // mark_dead / gate changes, so each query is O(log lanes) instead of an
+  // O(lanes) scan (serve_test checks all three against reference scans).
 
   /// Register the lane's scheduled death (min-folds with earlier calls).
   /// serve() registers the full kill schedule before the first wave; a lane
@@ -180,24 +172,14 @@ class Fleet {
   }
 
   /// Mirror of the lane's breaker delayed-start gate (ready_at()); devices
-  /// only.  No-op when unchanged, so a quiet breaker never invalidates
-  /// cached bids.
+  /// only.
   void set_gate(std::size_t lane, SimTime at);
   [[nodiscard]] SimTime gate(std::size_t lane) const { return gate_[lane]; }
 
-  /// Bumped whenever this lane's busy_until, death or gate changes.
-  [[nodiscard]] std::uint64_t lane_epoch(std::size_t lane) const {
-    return epoch_[lane];
-  }
-  /// Bumped whenever any *device* lane's busy_until or death changes (the
-  /// shared link-contention input every device bid reads).
-  [[nodiscard]] std::uint64_t fleet_epoch() const { return fleet_epoch_; }
-
   /// The earliest instant any schedulable lane could start a job arriving
   /// at `arrival` (gate- and kill-aware; infinity when no lane qualifies).
-  /// Equivalent to the legacy scan over all lanes, but walks the
-  /// busy-ordered set and stops as soon as no later lane can improve the
-  /// bound.
+  /// Walks the busy-ordered set and stops as soon as no later lane can
+  /// improve the bound.
   [[nodiscard]] SimTime earliest_feasible_start(SimTime arrival) const;
 
   /// The earliest busy_until over schedulable, unclaimed lanes — the next
@@ -206,7 +188,7 @@ class Fleet {
 
  private:
   /// Re-seat `lane` in the index after its busy_until moved from
-  /// `old_busy`, and bump the epochs.
+  /// `old_busy`.
   void reindex(std::size_t lane, SimTime old_busy);
 
   FleetConfig config_;
@@ -218,8 +200,6 @@ class Fleet {
   std::vector<SimTime> device_busy_sorted_;
   std::vector<SimTime> gate_;     // breaker ready_at mirror; host lanes 0
   std::vector<SimTime> kill_at_;  // scheduled death; infinity = never
-  std::vector<std::uint64_t> epoch_;
-  std::uint64_t fleet_epoch_ = 0;
 };
 
 }  // namespace isp::serve

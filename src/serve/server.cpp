@@ -14,7 +14,6 @@
 #include "exec/pool.hpp"
 #include "plan/equation1.hpp"
 #include "runtime/active_runtime.hpp"
-#include "serve/bid_cache.hpp"
 #include "serve/memo.hpp"
 #include "serve/observe.hpp"
 
@@ -166,7 +165,6 @@ SimResult simulate_dispatch(const ServeConfig& config, const Profile& profile,
   // backend-internal reclaim traffic stalls the device inside the measured
   // service time.
   rc.engine.drive_storage = profile.persist;
-  rc.engine.span_io = config.span_io;
   rc.engine.fault = config.fault;
   rc.engine.fault.seed = splitmix64(config.seed ^ (0xf1ee7000ULL + d.job.id));
   if (config.power_loss_job >= 0 &&
@@ -274,20 +272,12 @@ struct LaneBid {
 /// cannot start by the job's deadline, the earliest-starting eligible lane
 /// is tried instead; only when even that misses is DeadlineExpired
 /// returned.
-///
-/// Hot path (PR 7): when `bids` is non-null the device loop consults the
-/// epoch-versioned bid cache — a lane whose state epochs and candidate
-/// start match the cached slot reuses the finish-time integral, contended
-/// share and completion projection; the Equation-1 profit additionally
-/// revalidates on (arrival, host_wait).  `indexed` selects the O(log n)
-/// busy-device count off the fleet's sorted index over the legacy scan.
-/// Both are exact: cached and fresh bids are bit-identical.
 Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
                   const std::vector<SimTime>& kill_at,
                   const std::vector<CircuitBreaker>& breakers,
                   const std::vector<sim::AvailabilitySchedule>& scheds,
                   const Profile& profile, const QueuedJob& job,
-                  BidCache* bids, bool indexed, Dispatch& out) {
+                  Dispatch& out) {
   const BytesPerSecond bw = fleet.config().system.link.bandwidth;
   const std::size_t device_count = fleet.device_count();
   const Seconds page_program =
@@ -306,7 +296,7 @@ Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
   // Host lanes first: the fallback's own queue wait belongs on Equation 1's
   // host side, so the devices are priced against the host path the job
   // would actually take.  The winning lane's busy_until rides along so the
-  // host-wait term below doesn't re-read it (the PR 7 hoist).
+  // host-wait term below doesn't re-read it.
   SimTime best_host_busy = SimTime::zero();
   for (std::size_t lane = fleet.device_count(); lane < fleet.lane_count();
        ++lane) {
@@ -340,104 +330,49 @@ Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
         std::max({fleet.busy_until(lane), job.ready, brk.ready_at()});
     if (start >= kill_at[lane]) continue;  // lane is dead by then
 
-    // Core placement terms: reused when the lane's state epochs and the
-    // candidate start still match the cached slot.
-    CachedBid* cb = bids != nullptr ? &bids->slot(job.job_class, lane)
-                                    : nullptr;
-    const bool core_hit = cb != nullptr && cb->core_valid &&
-                          cb->lane_epoch == fleet.lane_epoch(lane) &&
-                          cb->fleet_epoch == fleet.fleet_epoch() &&
-                          cb->start == start;
-    SimTime compute_done;
-    SimTime done = SimTime::infinity();
-    double share = 1.0;
-    double avail_eff = 1.0;
-    if (core_hit) {
-      ++bids->hits;
-      if (cb->starved) continue;  // still starved: same schedule, same start
-      compute_done = cb->compute_done;
-      done = cb->done;
-      share = cb->share;
-      avail_eff = cb->avail_eff;
-    } else {
-      // The lane's *derated* schedule: base CSE availability scaled down by
-      // the lane's observed reclaim pressure (serial fold phase keeps it in
-      // step with occupy(), so the lane epoch covers it).
-      const auto& sched = scheds[lane];
-      compute_done = sched.finish_time(start, profile.csd_work);
-      const bool starved = compute_done == SimTime::infinity();
-      if (!starved) {
-        const std::size_t busy =
-            std::min((indexed ? fleet.busy_devices_after(start)
-                              : fleet.busy_devices_after_scan(start)) +
-                         1,
-                     device_count);
-        share = fleet.contended_link_share(lane, busy);
-        done = compute_done + profile.ds_processed / (bw * share);
-        // Effective CSE fraction over exactly the window the job would
-        // occupy.
-        avail_eff =
-            profile.csd_work.value() > 0.0
-                ? profile.csd_work.value() / (compute_done - start).value()
-                : 1.0;
-      }
-      if (cb != nullptr) {
-        ++bids->misses;
-        cb->core_valid = true;
-        cb->profit_valid = false;
-        cb->lane_epoch = fleet.lane_epoch(lane);
-        cb->fleet_epoch = fleet.fleet_epoch();
-        cb->start = start;
-        cb->starved = starved;
-        cb->compute_done = compute_done;
-        cb->done = done;
-        cb->share = share;
-        cb->avail_eff = avail_eff;
-      }
-      if (starved) continue;  // starved device
-    }
+    // The lane's *derated* schedule: base CSE availability scaled down by
+    // the lane's observed reclaim pressure.
+    const SimTime compute_done =
+        scheds[lane].finish_time(start, profile.csd_work);
+    if (compute_done == SimTime::infinity()) continue;  // starved device
+    const std::size_t busy =
+        std::min(fleet.busy_devices_after(start) + 1, device_count);
+    const double share = fleet.contended_link_share(lane, busy);
+    const SimTime done = compute_done + profile.ds_processed / (bw * share);
+    // Effective CSE fraction over exactly the window the job would occupy.
+    const double avail_eff =
+        profile.csd_work.value() > 0.0
+            ? profile.csd_work.value() / (compute_done - start).value()
+            : 1.0;
 
-    Seconds profit;
-    if (core_hit && cb->profit_valid && cb->arrival == job.arrival &&
-        cb->host_wait == host_wait) {
-      profit = cb->profit;
-    } else {
-      const plan::Eq1Terms terms{.ds_raw = profile.ds_raw,
-                                 .ct_host = profile.host_work + host_wait,
-                                 .ct_device = profile.csd_work,
-                                 .ds_processed = profile.ds_processed,
-                                 .bw_d2h = bw};
-      // Backend-specific device-side terms: the reclaim stall this lane has
-      // historically charged per job (FTL GC vs ZNS copy-forward price very
-      // differently), and the NAND-program cost of the class's persisted
-      // pages inflated by the lane's observed write amplification.  Both
-      // fold from completed jobs in the serial phase, so cached bids stay
-      // exact (the occupy() epoch bump covers every change).
-      const auto& ls = fleet.stats(lane);
-      const Seconds reclaim_wait =
-          ls.jobs > 0 ? Seconds{ls.reclaim_time.value() /
-                                static_cast<double>(ls.jobs)}
-                      : Seconds::zero();
-      const Seconds persist_cost =
-          page_program * (static_cast<double>(profile.persist_pages) *
-                          ls.storage_write_amplification());
-      // The wait this job would actually experience on the device: the time
-      // from its arrival until the lane's queued work drains.
-      const plan::Eq1Contention contention{
-          .queue_wait =
-              std::max(Seconds::zero(), fleet.busy_until(lane) - job.arrival),
-          .cse_availability = std::clamp(avail_eff, 1e-6, 1.0),
-          .link_share = share,
-          .reclaim_wait = reclaim_wait,
-          .persist_cost = persist_cost};
-      profit = plan::net_profit_under_contention(terms, contention);
-      if (cb != nullptr) {
-        cb->profit_valid = true;
-        cb->arrival = job.arrival;
-        cb->host_wait = host_wait;
-        cb->profit = profit;
-      }
-    }
+    const plan::Eq1Terms terms{.ds_raw = profile.ds_raw,
+                               .ct_host = profile.host_work + host_wait,
+                               .ct_device = profile.csd_work,
+                               .ds_processed = profile.ds_processed,
+                               .bw_d2h = bw};
+    // Backend-specific device-side terms: the reclaim stall this lane has
+    // historically charged per job (FTL GC vs ZNS copy-forward price very
+    // differently), and the NAND-program cost of the class's persisted
+    // pages inflated by the lane's observed write amplification.  Both
+    // fold from completed jobs in the serial phase.
+    const auto& ls = fleet.stats(lane);
+    const Seconds reclaim_wait =
+        ls.jobs > 0 ? Seconds{ls.reclaim_time.value() /
+                              static_cast<double>(ls.jobs)}
+                    : Seconds::zero();
+    const Seconds persist_cost =
+        page_program * (static_cast<double>(profile.persist_pages) *
+                        ls.storage_write_amplification());
+    // The wait this job would actually experience on the device: the time
+    // from its arrival until the lane's queued work drains.
+    const plan::Eq1Contention contention{
+        .queue_wait =
+            std::max(Seconds::zero(), fleet.busy_until(lane) - job.arrival),
+        .cse_availability = std::clamp(avail_eff, 1e-6, 1.0),
+        .link_share = share,
+        .reclaim_wait = reclaim_wait,
+        .persist_cost = persist_cost};
+    const Seconds profit = plan::net_profit_under_contention(terms, contention);
     const LaneBid bid{.lane = lane,
                       .on_host = false,
                       .start = start,
@@ -511,20 +446,14 @@ ServeReport serve(const ServeConfig& config) {
     }
   }
   // Mirror the kill schedule into the fleet's incremental index so its
-  // ready-order and feasibility queries skip doomed lanes exactly like the
-  // legacy scans do.
+  // ready-order and feasibility queries skip doomed lanes.
   for (std::size_t k = 0; k < fleet.device_count(); ++k) {
     if (kill_at[k] < SimTime::infinity()) fleet.set_kill_at(k, kill_at[k]);
   }
 
-  // Hot-path caches (PR 7).  Both are exact — serve() output is
-  // byte-identical with them on or off; the flags exist for the benchmark's
-  // off-arm and for bisecting.
-  const bool hotpath = config.plan_cache;
-  std::optional<BidCache> bid_cache;
-  if (config.plan_cache) {
-    bid_cache.emplace(config.job_classes.size(), fleet.device_count());
-  }
+  // The engine-run memo is exact — serve() output is byte-identical with it
+  // on or off; the flag exists for the benchmark's off-arm and for
+  // bisecting.
   std::optional<SimMemoCache> memo;
   if (config.sim_cache) memo.emplace(config.sim_cache_capacity);
 
@@ -532,9 +461,9 @@ ServeReport serve(const ServeConfig& config) {
   // reclaim (FTL GC / ZNS copy-forward) loses a quantized slice of its CSE
   // capacity for future placements and dispatches.  The derating factor is
   // reclaim-stall time over busy time, quantized to 1/64 and capped at 1/2,
-  // updated only in the serial fold phase right after occupy() — so cached
-  // bids stay exact and the derated schedule enters both the engine run and
-  // the memo-cache key through the schedule itself.
+  // updated only in the serial fold phase right after occupy() — so the
+  // derated schedule enters both the engine run and the memo-cache key
+  // through the schedule itself.
   std::vector<double> lane_derate(fleet.device_count(), 0.0);
   std::vector<sim::AvailabilitySchedule> lane_sched;
   lane_sched.reserve(fleet.device_count());
@@ -560,31 +489,6 @@ ServeReport serve(const ServeConfig& config) {
     breakers.emplace_back(config.breaker);
   }
 
-  const auto lane_kill = [&](std::size_t lane) {
-    return lane < kill_at.size() ? kill_at[lane] : SimTime::infinity();
-  };
-
-  // The earliest instant any living lane could start a job arriving now —
-  // the admission-time deadline feasibility bound.  Future dispatches only
-  // push busy_until later, so this is a true lower bound.  The hot path
-  // answers off the fleet's ready-order index (breaker gates are mirrored
-  // into it after every breaker mutation below); the legacy scan stays as
-  // the plan_cache-off reference.
-  const auto earliest_feasible_start = [&](SimTime arrival) {
-    if (hotpath) return fleet.earliest_feasible_start(arrival);
-    SimTime best = SimTime::infinity();
-    for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
-      if (!fleet.alive(lane)) continue;
-      SimTime start = std::max(fleet.busy_until(lane), arrival);
-      if (lane < fleet.device_count()) {
-        start = std::max(start, breakers[lane].ready_at());
-      }
-      if (start >= lane_kill(lane)) continue;
-      best = std::min(best, start);
-    }
-    return best;
-  };
-
   // Deepest each tenant's queue ever got (serial bookkeeping, so the gauge
   // is deterministic by construction).
   std::vector<std::size_t> max_queue(config.tenants.size(), 0);
@@ -599,8 +503,13 @@ ServeReport serve(const ServeConfig& config) {
       outcome.tenant = job.tenant;
       outcome.job_class = job.job_class;
       outcome.arrival = job.arrival;
+      // The earliest instant any living lane could start the job — the
+      // admission-time deadline feasibility bound.  Future dispatches only
+      // push busy_until later, so this is a true lower bound.  Breaker
+      // gates are mirrored into the fleet index after every breaker
+      // mutation below.
       const Status st =
-          admission.offer(job, earliest_feasible_start(job.arrival));
+          admission.offer(job, fleet.earliest_feasible_start(job.arrival));
       if (!st.is_ok()) {
         if (st.code() == StatusCode::DeadlineExceeded) {
           outcome.deadline_rejected = true;
@@ -616,7 +525,7 @@ ServeReport serve(const ServeConfig& config) {
   };
 
   // Wave scratch, hoisted so the per-wave cost is an assign(), not an
-  // allocation (satellite 6).
+  // allocation.
   std::vector<Dispatch> wave;
   wave.reserve(fleet.lane_count());
   std::vector<bool> claimed;
@@ -627,22 +536,10 @@ ServeReport serve(const ServeConfig& config) {
     wave.clear();
     claimed.assign(fleet.lane_count(), false);
     while (wave.size() < fleet.lane_count()) {
-      SimTime t;
-      if (hotpath) {
-        // First unclaimed entry in busy_until order — the index already
-        // excludes dead and doomed lanes.
-        t = fleet.next_free(claimed);
-      } else {
-        t = SimTime::infinity();
-        for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
-          if (claimed[lane] || !fleet.alive(lane)) continue;
-          // A lane already committed past its death can never free up
-          // again; letting it pin `t` would stall admission forever.
-          if (fleet.busy_until(lane) >= lane_kill(lane)) continue;
-          t = std::min(t, fleet.busy_until(lane));
-        }
-      }
-      admit_up_to(t);
+      // First unclaimed lane in busy_until order.  The index excludes dead
+      // lanes and lanes committed past their death: such a lane can never
+      // free up again, so letting it pin the instant would stall admission.
+      admit_up_to(fleet.next_free(claimed));
       if (!admission.any_queued()) {
         if (wave.empty() && next_arrival < arrivals.size()) {
           // Idle fleet: jump to the next arrival and retry.
@@ -653,10 +550,9 @@ ServeReport serve(const ServeConfig& config) {
       }
       const auto job = admission.pick();
       Dispatch d;
-      const Place placed = choose_lane(
-          fleet, claimed, kill_at, breakers, lane_sched,
-          *profiles[job->job_class], *job, bid_cache ? &*bid_cache : nullptr,
-          hotpath, d);
+      const Place placed =
+          choose_lane(fleet, claimed, kill_at, breakers, lane_sched,
+                      *profiles[job->job_class], *job, d);
       if (placed == Place::DeadlineExpired) {
         // Skip the expired job loudly: typed per-tenant counter, resolved
         // at the deadline — or at the death that re-enqueued it, when the
@@ -802,9 +698,7 @@ ServeReport serve(const ServeConfig& config) {
         fleet.note_storage(d.lane, r.storage.host_pages,
                            r.storage.reclaim_pages + r.storage.meta_pages,
                            r.storage.resets, r.storage.reclaim_time);
-        // Reclaim pressure derates the lane's CSE for future placements —
-        // adjacent to the occupy() epoch bump, so cached bids never see a
-        // stale derating.
+        // Reclaim pressure derates the lane's CSE for future placements.
         if (!d.on_host) update_derate(d.lane);
       }
       admission.note_completed(d.job.tenant);
@@ -819,9 +713,7 @@ ServeReport serve(const ServeConfig& config) {
         } else {
           breakers[d.lane].record_outcome(end, severity);
         }
-        // Keep the fleet index's breaker gate in sync (set_gate is a no-op
-        // unless ready_at actually moved, so quiet outcomes don't
-        // invalidate cached bids).
+        // Keep the fleet index's breaker gate in sync.
         fleet.set_gate(d.lane, breakers[d.lane].ready_at());
       }
       outcome.lane = static_cast<std::int32_t>(d.lane);
@@ -875,10 +767,6 @@ ServeReport serve(const ServeConfig& config) {
   report.offered_load = config.offered_load;
   report.seed = config.seed;
   if (memo) report.sim_cache_evictions = memo->evictions();
-  if (bid_cache) {
-    report.bid_cache_hits = bid_cache->hits;
-    report.bid_cache_misses = bid_cache->misses;
-  }
   std::vector<double> latencies;
   latencies.reserve(report.outcomes.size());
   for (const auto& o : report.outcomes) {

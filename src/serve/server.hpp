@@ -31,6 +31,13 @@
 // the output volumes the class's profiling run measured, which is exact
 // because kernel outputs do not depend on placement, faults or backend.
 //
+// Hot path.  Each decision prices every candidate device lane with one fresh
+// Equation-1 evaluation; the Fleet's incremental lane index answers the
+// per-job "earliest start", "next free lane" and "devices busy after t"
+// queries in O(log lanes).  The execution phase runs each distinct
+// simulation once through the digest-verified engine-run memo cache
+// (`sim_cache`), which is exact: reports are byte-identical with it off.
+//
 // Fleet failure domains (PR 6).  A CSD lane can die *permanently* at a
 // seed-deterministic virtual-time instant (fault::Site::DeviceFailure rate,
 // or an explicit kill schedule).  In-flight jobs on the dying lane are lost
@@ -126,26 +133,15 @@ struct ServeConfig {
   std::uint32_t retry_budget = 2;
   /// Per-CSD-lane health circuit breaker (health-aware placement).
   BreakerConfig breaker;
-  // Hot-path toggles (PR 7).  Both caches are *exact*: reports, metrics and
-  // trace artifacts are byte-identical with them on or off (asserted in
-  // serve_test, gated in bench/serve_hotpath) — they only change how much
-  // work the decision and execution phases redo.
-  /// Incremental lane-state index + per-(class, lane) Equation-1 bid cache
-  /// in the wave decision phase; off falls back to the O(lanes) scans.
-  bool plan_cache = true;
   /// Digest-verified engine-run memo cache: a dispatch whose simulation
   /// inputs (class, lane kind, rebased availability, contended link share,
   /// derived fault seed) exactly match an already-run simulation reuses its
-  /// result instead of re-running the engine.
+  /// result instead of re-running the engine.  Exact: reports, metrics and
+  /// trace artifacts are byte-identical with it on or off (asserted in
+  /// serve_test, gated in bench/serve_hotpath).
   bool sim_cache = true;
   /// Bound on distinct memoized engine runs (FIFO eviction, deterministic).
   std::size_t sim_cache_capacity = 512;
-  /// Extent-shaped storage traffic (PR 10): persisting dispatches issue
-  /// their dataset mounts and write-backs through the backends' span fast
-  /// path.  Exact like the caches above — the span paths are bit-for-bit
-  /// the scalar loops, so every report/metrics/trace artifact is
-  /// byte-identical with this on or off.
-  bool span_io = true;
   ObsOptions obs;
 };
 
@@ -257,12 +253,13 @@ struct ServeReport {
   /// word two runs must agree on byte-for-byte (the determinism gate).
   std::uint64_t digest = 0;
 
-  // Hot-path cache statistics (PR 7) — diagnostics only.  Deliberately
-  // excluded from to_json(), the digest and the metrics registry so every
-  // exported artifact stays byte-identical with the caches on or off.
+  // Memo-cache statistics — diagnostics only.  Deliberately excluded from
+  // to_json(), the digest and the metrics registry so every exported
+  // artifact stays byte-identical with the cache on or off.
   std::uint64_t sim_cache_hits = 0;
   std::uint64_t sim_cache_misses = 0;
   std::uint64_t sim_cache_evictions = 0;
+  // Always 0: placement has no bid cache; kept because perfbench reads them.
   std::uint64_t bid_cache_hits = 0;
   std::uint64_t bid_cache_misses = 0;
 

@@ -295,28 +295,30 @@ TEST(Cli, ParseOnOffRejectsEveryMalformedShape) {
 }
 
 TEST(Cli, OnOffFlagParsesBothSpellingsAndFallsBack) {
-  const char* argv[] = {"prog", "--plan-cache", "off", "--sim-cache=on"};
-  EXPECT_FALSE(
-      on_off_flag(4, const_cast<char**>(argv), "--plan-cache", true));
-  EXPECT_TRUE(on_off_flag(4, const_cast<char**>(argv), "--sim-cache", false));
+  const char* argv[] = {"prog", "--sim-cache", "off", "--verbose=on"};
+  EXPECT_FALSE(on_off_flag(4, const_cast<char**>(argv), "--sim-cache", true));
+  EXPECT_TRUE(on_off_flag(4, const_cast<char**>(argv), "--verbose", false));
   // Absent flag: the fallback decides, whichever way it points.
   EXPECT_TRUE(on_off_flag(4, const_cast<char**>(argv), "--missing", true));
   EXPECT_FALSE(on_off_flag(4, const_cast<char**>(argv), "--missing", false));
 }
 
 TEST(Cli, SpanFlagParsesStrictlyAndDefaultsOn) {
-  // The benches expose the storage data plane toggle as `--span on|off`
-  // through on_off_flag, so it inherits the strict exit-2 grammar: both
-  // spellings parse, anything else is rejected by parse_on_off.
-  const char* argv[] = {"prog", "--span", "off"};
-  EXPECT_FALSE(on_off_flag(3, const_cast<char**>(argv), "--span", true));
-  const char* argv_eq[] = {"prog", "--span=on"};
-  EXPECT_TRUE(on_off_flag(2, const_cast<char**>(argv_eq), "--span", false));
-  // Absent: spans stay on, matching EngineOptions/ServeConfig defaults.
+  // The benches expose their toggles (e.g. the memo cache's
+  // `--sim-cache on|off`) through on_off_flag, so they inherit the strict
+  // exit-2 grammar: both spellings parse, anything else is rejected by
+  // parse_on_off.
+  const char* argv[] = {"prog", "--sim-cache", "off"};
+  EXPECT_FALSE(on_off_flag(3, const_cast<char**>(argv), "--sim-cache", true));
+  const char* argv_eq[] = {"prog", "--sim-cache=on"};
+  EXPECT_TRUE(
+      on_off_flag(2, const_cast<char**>(argv_eq), "--sim-cache", false));
+  // Absent: the cache stays on, matching the ServeConfig default.
   const char* argv_none[] = {"prog"};
-  EXPECT_TRUE(on_off_flag(1, const_cast<char**>(argv_none), "--span", true));
-  const char* span_bad[] = {"On", "Off", "spans", "on,off", "enabled"};
-  for (const char* text : span_bad) {
+  EXPECT_TRUE(
+      on_off_flag(1, const_cast<char**>(argv_none), "--sim-cache", true));
+  const char* bad[] = {"On", "Off", "spans", "on,off", "enabled"};
+  for (const char* text : bad) {
     EXPECT_FALSE(parse_on_off(text).has_value()) << "\"" << text << "\"";
   }
 }

@@ -10,6 +10,7 @@
 
 #include "apps/registry.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/fleet.hpp"
@@ -778,10 +779,10 @@ TEST(ServeObs, DisablingObsChangesNothingButOmitsArtifacts) {
   EXPECT_EQ(off.snapshots.rows(), 0u);
 }
 
-// --- Hot-path caches (PR 7): exactness, eviction, epochs -----------------
+// --- Hot path: memo-cache exactness and eviction, the lane index ---------
 
-/// A saturating config the bid and memo caches actually bite on: deep
-/// queues, offered load past the fleet's capacity, two job classes.
+/// A saturating config the memo cache actually bites on: deep queues,
+/// offered load past the fleet's capacity, two job classes.
 serve::ServeConfig hot_config(std::size_t fleet, std::uint64_t total_jobs,
                               unsigned jobs) {
   serve::ServeConfig config;
@@ -811,13 +812,10 @@ TEST(ServeHotpath, ByteIdenticalOnVsOffVsSerial) {
   const auto on = serve::serve(config);
   EXPECT_GT(on.sim_cache_hits, 0u);  // the memo must actually engage
 
-  config.plan_cache = false;
   config.sim_cache = false;
   const auto off = serve::serve(config);
   EXPECT_EQ(off.sim_cache_hits, 0u);
-  EXPECT_EQ(off.bid_cache_hits + off.bid_cache_misses, 0u);
 
-  config.plan_cache = true;
   config.sim_cache = true;
   config.jobs = 1;
   const auto serial = serve::serve(config);
@@ -826,28 +824,10 @@ TEST(ServeHotpath, ByteIdenticalOnVsOffVsSerial) {
   expect_identical(on, serial);
 }
 
-TEST(ServeHotpath, EachToggleAloneStaysExact) {
-  auto config = hot_config(3, 24, 2);
-  config.plan_cache = false;
-  config.sim_cache = false;
-  const auto off = serve::serve(config);
-
-  config.plan_cache = true;  // lane index + bid cache only
-  const auto plan_only = serve::serve(config);
-  expect_identical(off, plan_only);
-  EXPECT_EQ(plan_only.sim_cache_hits, 0u);
-
-  config.plan_cache = false;
-  config.sim_cache = true;  // memo cache only
-  const auto sim_only = serve::serve(config);
-  expect_identical(off, sim_only);
-  EXPECT_GT(sim_only.sim_cache_hits, 0u);
-}
-
 TEST(ServeHotpath, ChaosKillAndPowerLossParity) {
   // The hard case: a device dies mid-run (retries, breaker traffic, lost
   // attempts) while one job takes a mid-sweep power cut and every job runs
-  // seeded point faults.  Cache on, cache off and serial must still agree
+  // seeded point faults.  Memo on, memo off and serial must still agree
   // byte for byte.
   auto config = hot_config(3, 24, 3);
   config.fault.set_rate_all(0.02);
@@ -858,10 +838,8 @@ TEST(ServeHotpath, ChaosKillAndPowerLossParity) {
   config.power_loss_after = 3;
 
   const auto on = serve::serve(config);
-  config.plan_cache = false;
   config.sim_cache = false;
   const auto off = serve::serve(config);
-  config.plan_cache = true;
   config.sim_cache = true;
   config.jobs = 1;
   const auto serial = serve::serve(config);
@@ -934,89 +912,122 @@ TEST(ServeMemo, DoubleInsertAndZeroCapacityAreLoudErrors) {
   EXPECT_THROW(cache.insert(key, serve::SimResult{}), Error);
 }
 
-TEST(FleetIndex, EpochsTrackBusyDeathAndGate) {
-  serve::Fleet fleet(serve::FleetConfig::make(2, 1));
-  const auto lane0 = fleet.lane_epoch(0);
-  const auto lane1 = fleet.lane_epoch(1);
-  const auto global = fleet.fleet_epoch();
+/// Reference scans for the fleet's indexed queries: the O(lanes) loops the
+/// serving loop ran before the lane index, kept here as the oracle.
+std::size_t busy_devices_after_scan(const serve::Fleet& fleet, SimTime t) {
+  std::size_t n = 0;
+  for (std::size_t lane = 0; lane < fleet.device_count(); ++lane) {
+    if (fleet.busy_until(lane) > t) ++n;
+  }
+  return n;
+}
 
-  fleet.occupy(0, SimTime::zero(), Seconds{1.0});
-  EXPECT_GT(fleet.lane_epoch(0), lane0);
-  EXPECT_EQ(fleet.lane_epoch(1), lane1);  // untouched lane keeps its epoch
-  EXPECT_GT(fleet.fleet_epoch(), global);  // device busy moved the fleet
+SimTime earliest_feasible_start_scan(const serve::Fleet& fleet,
+                                     SimTime arrival) {
+  SimTime best = SimTime::infinity();
+  for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
+    if (!fleet.alive(lane)) continue;
+    SimTime start = std::max(fleet.busy_until(lane), arrival);
+    start = std::max(start, fleet.gate(lane));
+    if (start >= fleet.kill_at(lane)) continue;
+    best = std::min(best, start);
+  }
+  return best;
+}
 
-  // Gate changes bump the lane epoch only when the gate actually moves.
-  const auto before_gate = fleet.lane_epoch(1);
-  fleet.set_gate(1, SimTime::zero());  // already zero: must be a no-op
-  EXPECT_EQ(fleet.lane_epoch(1), before_gate);
-  fleet.set_gate(1, SimTime{2.0});
-  EXPECT_GT(fleet.lane_epoch(1), before_gate);
-
-  // Host lane occupancy moves its lane epoch but not the fleet epoch (host
-  // lanes never draw on the device link).
-  const auto host = fleet.device_count();
-  const auto before_host = fleet.fleet_epoch();
-  fleet.occupy(host, SimTime::zero(), Seconds{1.0});
-  EXPECT_EQ(fleet.fleet_epoch(), before_host);
-
-  const auto before_death = fleet.lane_epoch(1);
-  fleet.mark_dead(1, SimTime{0.5});
-  EXPECT_GT(fleet.lane_epoch(1), before_death);
+SimTime next_free_scan(const serve::Fleet& fleet,
+                       const std::vector<bool>& claimed) {
+  SimTime best = SimTime::infinity();
+  for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
+    if (claimed[lane] || !fleet.alive(lane)) continue;
+    // A lane committed past its death can never free up again.
+    if (fleet.busy_until(lane) >= fleet.kill_at(lane)) continue;
+    best = std::min(best, fleet.busy_until(lane));
+  }
+  return best;
 }
 
 TEST(FleetIndex, QueriesMatchTheLinearScans) {
-  // Drive a small fleet through occupies, a death, a kill schedule and a
-  // gate, checking every indexed query against its reference scan.
-  serve::Fleet fleet(serve::FleetConfig::make(4, 2, 0.05));
-  fleet.set_kill_at(3, SimTime{2.5});
-  fleet.occupy(0, SimTime::zero(), Seconds{1.0});
-  fleet.occupy(1, SimTime{0.5}, Seconds{2.0});
-  fleet.occupy(3, SimTime::zero(), Seconds{3.0});  // sails past its death
-  fleet.occupy(4, SimTime::zero(), Seconds{0.25});
-  fleet.mark_dead(2, SimTime{1.0});
-  fleet.set_gate(0, SimTime{1.75});
+  // Seeded property test: random occupy / mark_dead / set_kill_at /
+  // set_gate steps on fleets of 1–8 devices plus 0–2 host lanes, with every
+  // indexed query checked against its reference scan after every step.
+  // Times sit on a 1/4 grid so ties between lanes, gates and kills are
+  // common.
+  std::size_t steps = 0, doomed_seen = 0, dead_seen = 0, gated_seen = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const std::size_t devices = rng.uniform_u64(1, 8);
+    const std::size_t hosts = rng.uniform_u64(0, 2);
+    serve::Fleet fleet(serve::FleetConfig::make(devices, hosts, 0.05));
+    const auto grid = [&](std::uint64_t hi) {
+      return Seconds{0.25 * static_cast<double>(rng.uniform_u64(0, hi))};
+    };
+    for (int step = 0; step < 30; ++step, ++steps) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const std::size_t device = rng.uniform_u64(0, devices - 1);
+      const std::size_t lane = rng.uniform_u64(0, fleet.lane_count() - 1);
+      const SimTime near = fleet.busy_until(lane) + grid(4);
+      // An instant up to one time unit before the device's busy_until, or
+      // later: deaths and kills land both inside and past committed work.
+      const SimTime around =
+          std::max(SimTime::zero(), fleet.busy_until(device) + Seconds{-1.0});
+      switch (rng.uniform_u64(0, 5)) {
+        case 0:
+        case 1:
+        case 2:  // occupy dominates, as in a serving run
+          if (fleet.alive(lane)) fleet.occupy(lane, near, grid(8));
+          break;
+        case 3:
+          fleet.mark_dead(device, around + grid(8));
+          break;
+        case 4:
+          fleet.set_kill_at(device, around + grid(12));
+          break;
+        default:
+          fleet.set_gate(device, fleet.busy_until(device) + grid(8));
+          break;
+      }
 
-  for (const double t : {0.0, 0.5, 0.9999, 1.0, 1.5, 2.0, 2.5, 3.0, 9.0}) {
-    EXPECT_EQ(fleet.busy_devices_after(SimTime{t}),
-              fleet.busy_devices_after_scan(SimTime{t}))
-        << "t=" << t;
-  }
+      // Probe every instant the state holds, each one grid step either side,
+      // and zero.
+      std::vector<SimTime> probes = {SimTime::zero()};
+      for (std::size_t l = 0; l < fleet.lane_count(); ++l) {
+        for (const SimTime t : {fleet.busy_until(l), fleet.gate(l)}) {
+          probes.insert(probes.end(),
+                        {t + Seconds{-0.25}, t, t + Seconds{0.25}});
+        }
+        if (fleet.kill_at(l) < SimTime::infinity()) {
+          probes.push_back(fleet.kill_at(l));
+        }
+        doomed_seen += fleet.alive(l) && fleet.busy_until(l) >= fleet.kill_at(l);
+        dead_seen += !fleet.alive(l);
+        gated_seen += fleet.gate(l) > fleet.busy_until(l);
+      }
+      for (const SimTime t : probes) {
+        ASSERT_EQ(fleet.busy_devices_after(t), busy_devices_after_scan(fleet, t))
+            << "t=" << t.seconds();
+        ASSERT_EQ(fleet.earliest_feasible_start(t),
+                  earliest_feasible_start_scan(fleet, t))
+            << "arrival=" << t.seconds();
+      }
 
-  const auto reference_earliest = [&](SimTime arrival) {
-    SimTime best = SimTime::infinity();
-    for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
-      if (!fleet.alive(lane)) continue;
-      SimTime start = std::max(fleet.busy_until(lane), arrival);
-      start = std::max(start, fleet.gate(lane));
-      if (start >= fleet.kill_at(lane)) continue;
-      best = std::min(best, start);
+      std::vector<bool> claimed(fleet.lane_count(), false);
+      ASSERT_EQ(fleet.next_free(claimed), next_free_scan(fleet, claimed));
+      for (std::size_t l = 0; l < claimed.size(); ++l) {
+        claimed[l] = rng.uniform_u64(0, 1) == 1;
+      }
+      ASSERT_EQ(fleet.next_free(claimed), next_free_scan(fleet, claimed));
+      claimed.assign(fleet.lane_count(), true);
+      ASSERT_EQ(fleet.next_free(claimed), SimTime::infinity());
     }
-    return best;
-  };
-  for (const double t : {0.0, 0.5, 1.0, 1.9, 2.6, 4.0}) {
-    EXPECT_EQ(fleet.earliest_feasible_start(SimTime{t}),
-              reference_earliest(SimTime{t}))
-        << "arrival=" << t;
   }
-
-  const auto reference_next_free = [&](const std::vector<bool>& claimed) {
-    SimTime best = SimTime::infinity();
-    for (std::size_t lane = 0; lane < fleet.lane_count(); ++lane) {
-      if (claimed[lane] || !fleet.alive(lane)) continue;
-      if (fleet.busy_until(lane) >= fleet.kill_at(lane)) continue;
-      best = std::min(best, fleet.busy_until(lane));
-    }
-    return best;
-  };
-  std::vector<bool> claimed(fleet.lane_count(), false);
-  EXPECT_EQ(fleet.next_free(claimed), reference_next_free(claimed));
-  claimed[4] = true;  // claim one host lane
-  claimed[0] = true;
-  EXPECT_EQ(fleet.next_free(claimed), reference_next_free(claimed));
-  claimed.assign(fleet.lane_count(), true);
-  EXPECT_EQ(fleet.next_free(claimed), SimTime::infinity());
+  // The walk must reach the states the index special-cases.
+  EXPECT_EQ(steps, 360u);
+  EXPECT_GT(doomed_seen, 0u);
+  EXPECT_GT(dead_seen, 0u);
+  EXPECT_GT(gated_seen, 0u);
 }
-
 
 // --- Storage backends in the fleet (ZNS / FTL / mixed) -------------------
 
@@ -1046,7 +1057,6 @@ TEST(ServeBackend, MixedFleetByteIdenticalAcrossJobsAndCaches) {
 
   auto uncached = mixed_backend_config(4);
   uncached.sim_cache = false;
-  uncached.plan_cache = false;
   expect_identical(serial, serve::serve(uncached));
 
   // The persisting class must actually have driven the backends: some lane
