@@ -1,12 +1,22 @@
 #include "exec/pool.hpp"
 
+#include <atomic>
+
 #include "common/error.hpp"
 
 namespace isp::exec {
 
+namespace {
+std::atomic<std::uint64_t> g_threads_started{0};
+}  // namespace
+
 unsigned default_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
+}
+
+std::uint64_t threads_started() {
+  return g_threads_started.load(std::memory_order_relaxed);
 }
 
 Pool::Pool(unsigned workers) {
@@ -15,9 +25,11 @@ Pool::Pool(unsigned workers) {
   for (unsigned w = 0; w < workers; ++w) {
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
-  threads_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
+  // Worker 0 is whichever thread calls parallel_for.
+  threads_.reserve(workers - 1);
+  for (unsigned w = 1; w < workers; ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });
+    g_threads_started.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -34,6 +46,7 @@ void Pool::parallel_for(std::size_t n,
                         const std::function<void(std::size_t)>& task) {
   if (n == 0) return;
   std::vector<std::exception_ptr> errors(n);
+  const std::size_t k = queues_.size();
   {
     std::lock_guard lock(mu_);
     ISP_CHECK(task_ == nullptr, "parallel_for is not reentrant");
@@ -48,7 +61,6 @@ void Pool::parallel_for(std::size_t n,
     // publishes the task_/errors_ writes above to any worker that pops one
     // of these indices — including a straggler that never saw the epoch
     // bump.
-    const std::size_t k = queues_.size();
     for (std::size_t w = 0; w < k && w < n; ++w) {
       WorkerQueue& q = *queues_[w];
       std::lock_guard qlock(q.mu);
@@ -56,7 +68,11 @@ void Pool::parallel_for(std::size_t n,
     }
     ++epoch_;
   }
-  batch_cv_.notify_all();
+  // Wake one thread per deque beyond the caller's own.  Progress never
+  // depends on a wakeup — the caller drains every deque itself — so a
+  // thread that sleeps through the batch costs wall time, not correctness.
+  for (std::size_t w = 1; w < std::min(n, k); ++w) batch_cv_.notify_one();
+  drain(0);
   {
     std::unique_lock lock(mu_);
     done_cv_.wait(lock, [&] { return remaining_ == 0; });
@@ -78,12 +94,13 @@ void Pool::worker_loop(std::size_t self) {
       if (shutdown_) return;
       seen_epoch = epoch_;
     }
-    for (;;) {
-      std::size_t index = 0;
-      if (!pop_own(self, index) && !steal(self, index)) break;
-      run_one(index);
-    }
+    drain(self);
   }
+}
+
+void Pool::drain(std::size_t self) {
+  std::size_t index = 0;
+  while (pop_own(self, index) || steal(self, index)) run_one(index);
 }
 
 bool Pool::pop_own(std::size_t self, std::size_t& index) {

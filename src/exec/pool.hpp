@@ -1,12 +1,14 @@
-// Deterministic parallel sweep execution.
+// Deterministic parallel batch execution.
 //
-// Every heavy harness in this repository — the crash-point sweep, the
-// Equation-1 consistency table, the fault-rate sweep, the dataset-scaling
-// ablation, the fuzz matrices — is an embarrassingly parallel batch of
-// fully independent, seed-deterministic simulations.  `Pool` is a
-// work-stealing thread pool and `run_batch` the one entry point the
-// harnesses use: fan N independent tasks across hardware threads while
-// guaranteeing byte-identical output to the serial order.
+// Two kinds of batch run here.  The heavy harnesses (the crash-point sweep,
+// the Equation-1 consistency table, the fault-rate sweep, the
+// dataset-scaling ablation, the fuzz matrices) fan out whole simulations of
+// milliseconds and up.  serve() fans out each dispatch wave: a handful of
+// timing-only engine replays of ~60 µs each, wave after wave, on one pool
+// it keeps for the whole call.  `Pool` is a work-stealing pool whose calling
+// thread is one of its workers, and `run_batch` the entry point both use:
+// fan N independent tasks across hardware threads while guaranteeing
+// byte-identical output to the serial order.
 //
 // The determinism contract:
 //   * every task owns its state — its SystemModel (device, FTL, queues),
@@ -14,17 +16,21 @@
 //     nothing mutable is shared between tasks;
 //   * results land in a pre-sized vector slot indexed by submission order,
 //     so collection order is independent of scheduling order;
-//   * `jobs == 1` bypasses the pool entirely and runs the tasks inline on
-//     the calling thread — bit-for-bit today's serial behaviour;
+//   * `jobs == 1` runs the tasks inline on the calling thread, in index
+//     order — bit-for-bit the serial behaviour;
 //   * exceptions are captured per task; after the batch settles, the
 //     lowest-index exception is rethrown (again independent of thread
 //     timing).  Workers always join: a throwing task never leaks a thread.
 //
 // Scheduling is work-stealing over per-worker deques: indices are dealt
 // round-robin at submission, each worker drains its own deque from the
-// front and steals from the back of a sibling when it runs dry.  Tasks
-// here are whole simulations (milliseconds and up), so a mutex per deque
-// costs nothing measurable.
+// front and steals from the back of a sibling when it runs dry.  Worker 0
+// is the thread that called parallel_for: it deals, wakes only as many
+// parked threads as the batch can use, and then drains the deques itself
+// before it waits for the stragglers.  A pool of k workers therefore starts
+// k − 1 threads, a one-task batch never wakes a thread, and no batch waits
+// on a wakeup to make progress.  A mutex per deque is uncontended at these
+// batch sizes.
 #pragma once
 
 #include <algorithm>
@@ -46,11 +52,19 @@ namespace isp::exec {
 /// with a floor of 1 when the runtime cannot tell.
 [[nodiscard]] unsigned default_jobs();
 
-/// Work-stealing thread pool.  One instance serves one caller at a time
-/// (parallel_for is not reentrant); workers persist across batches and are
-/// joined by the destructor.
+/// Threads every Pool in this process has started so far (each pool starts
+/// workers() − 1).  Lets tests check how many threads a call created.
+[[nodiscard]] std::uint64_t threads_started();
+
+/// Work-stealing thread pool with the caller as worker 0.  One instance
+/// serves one caller at a time: parallel_for is not reentrant, and a task
+/// that calls parallel_for on the pool running it fails with an isp::Error
+/// (rethrown as that task's exception).  Threads persist across batches and
+/// are joined by the destructor.
 class Pool {
  public:
+  /// `workers` counts the calling thread: the pool starts workers − 1
+  /// threads, and Pool(1) starts none.
   explicit Pool(unsigned workers = default_jobs());
   ~Pool();
 
@@ -58,12 +72,14 @@ class Pool {
   Pool& operator=(const Pool&) = delete;
 
   [[nodiscard]] unsigned workers() const {
-    return static_cast<unsigned>(threads_.size());
+    return static_cast<unsigned>(queues_.size());
   }
 
   /// Run task(i) for every i in [0, n), blocking until the batch settles.
-  /// Exceptions thrown by tasks are captured; once every task has either
-  /// finished or thrown, the lowest-index exception is rethrown.
+  /// The calling thread runs tasks too; with one worker it runs them all,
+  /// in index order.  Exceptions thrown by tasks are captured; once every
+  /// task has either finished or thrown, the lowest-index exception is
+  /// rethrown.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& task);
 
@@ -74,6 +90,9 @@ class Pool {
   };
 
   void worker_loop(std::size_t self);
+  /// Run tasks popped from `self`'s deque, then stolen ones, until every
+  /// deque is empty.
+  void drain(std::size_t self);
   bool pop_own(std::size_t self, std::size_t& index);
   bool steal(std::size_t self, std::size_t& index);
   void run_one(std::size_t index);
@@ -94,18 +113,21 @@ class Pool {
   const std::function<void(std::size_t)>* task_ = nullptr;
   std::vector<std::exception_ptr>* errors_ = nullptr;
 
+  // queues_[0] belongs to the calling thread; threads_[w − 1] runs
+  // worker w.
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
 };
 
-/// Fan `fn` over [0, n) and collect the results in submission order.
-/// `fn` must be safe to call concurrently from several threads, which in
-/// this codebase means: construct every mutable thing (SystemModel,
-/// EngineOptions, stores, RNGs) inside the call.  The result type must be
-/// default-constructible and must not be `bool` (std::vector<bool> packs
-/// bits, so concurrent per-element writes would race — return a struct).
+/// Fan `fn` over [0, n) on a caller-owned pool and collect the results in
+/// submission order.  `fn` must be safe to call concurrently from several
+/// threads, which in this codebase means: construct every mutable thing
+/// (SystemModel, EngineOptions, stores, RNGs) inside the call.  The result
+/// type must be default-constructible and must not be `bool`
+/// (std::vector<bool> packs bits, so concurrent per-element writes would
+/// race — return a struct).
 template <typename Fn>
-auto run_batch(std::size_t n, Fn&& fn, unsigned jobs = default_jobs())
+auto run_batch(Pool& pool, std::size_t n, Fn&& fn)
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
   using R = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
   static_assert(std::is_default_constructible_v<R>,
@@ -113,16 +135,24 @@ auto run_batch(std::size_t n, Fn&& fn, unsigned jobs = default_jobs())
   static_assert(!std::is_same_v<R, bool>,
                 "std::vector<bool> packs bits; return a struct instead");
   std::vector<R> results(n);
-  if (n == 0) return results;
-  if (jobs <= 1 || n == 1) {
-    // Serial path: today's behaviour, on the calling thread, in order.
+  pool.parallel_for(n, [&](std::size_t i) { results[i] = fn(i); });
+  return results;
+}
+
+/// One-shot form: the same contract on a pool of min(jobs, n) workers that
+/// lives for this batch only.  `jobs <= 1` (or a single task) runs inline,
+/// in order, without building a pool.
+template <typename Fn>
+auto run_batch(std::size_t n, Fn&& fn, unsigned jobs = default_jobs())
+    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
+  if (jobs <= 1 || n <= 1) {
+    std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>>
+        results(n);
     for (std::size_t i = 0; i < n; ++i) results[i] = fn(i);
     return results;
   }
-  Pool pool(static_cast<unsigned>(
-      std::min<std::size_t>(jobs, n)));
-  pool.parallel_for(n, [&](std::size_t i) { results[i] = fn(i); });
-  return results;
+  Pool pool(static_cast<unsigned>(std::min<std::size_t>(jobs, n)));
+  return run_batch(pool, n, fn);
 }
 
 /// Convenience overload: one task per config, results in config order.

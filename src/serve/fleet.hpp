@@ -163,7 +163,9 @@ class Fleet {
   // O(lanes) scan (serve_test checks all three against reference scans).
 
   /// Register the lane's scheduled death (min-folds with earlier calls).
-  /// serve() registers the full kill schedule before the first wave; a lane
+  /// The fleet holds serve()'s one copy of the kill schedule: placement,
+  /// the fold and the final death sweep all read kill_at().  serve()
+  /// registers the full schedule before the first wave; a lane
   /// whose busy_until reaches its kill time leaves the schedulable set for
   /// good (busy_until only grows, so it can never start another job).
   void set_kill_at(std::size_t lane, SimTime at);

@@ -19,8 +19,6 @@
 
 namespace isp::serve {
 
-namespace {
-
 /// Cached per-class pipeline products: everything placement and dispatch
 /// need without re-running the sampling phase per job.
 struct Profile {
@@ -42,10 +40,82 @@ struct Profile {
   std::uint64_t persist_pages = 0;
 };
 
-std::vector<std::shared_ptr<const Profile>> build_profiles(
-    const ServeConfig& config) {
-  return exec::run_batch(
-      config.job_classes.size(),
+namespace {
+
+/// FNV-1a over every ServeConfig field a class profile depends on: the job
+/// classes, each SystemConfig constant, and the execution mode.  A field
+/// added to any of them must be folded in here too.
+std::uint64_t profile_fingerprint(const ServeConfig& config) {
+  std::uint64_t h = kFnvOffset;
+  h = fnv1a(h, config.job_classes.size());
+  for (const auto& jc : config.job_classes) {
+    h = fnv1a(h, jc.app);
+    h = fnv1a(h, double_bits(jc.size_factor));
+    h = fnv1a(h, jc.persist ? 1 : 0);
+  }
+  const auto& sc = config.fleet.system;
+  h = fnv1a(h, double_bits(sc.host.clock.value()));
+  h = fnv1a(h, sc.host.cores);
+  const auto& csd = sc.csd;
+  h = fnv1a(h, csd.cse.cores);
+  h = fnv1a(h, double_bits(csd.cse.clock.value()));
+  h = fnv1a(h, double_bits(csd.cse.ipc_vs_host));
+  h = fnv1a(h, double_bits(csd.cse.host_clock.value()));
+  const auto& g = csd.nand_geometry;
+  h = fnv1a(h, g.channels);
+  h = fnv1a(h, g.dies_per_channel);
+  h = fnv1a(h, g.planes_per_die);
+  h = fnv1a(h, g.page_bytes.count());
+  h = fnv1a(h, g.pages_per_block);
+  h = fnv1a(h, g.blocks_per_die);
+  const auto& t = csd.nand_timing;
+  h = fnv1a(h, double_bits(t.page_read.value()));
+  h = fnv1a(h, double_bits(t.page_program.value()));
+  h = fnv1a(h, double_bits(t.block_erase.value()));
+  h = fnv1a(h, double_bits(t.channel_bus.value()));
+  h = fnv1a(h, static_cast<std::uint64_t>(csd.backend));
+  h = fnv1a(h, double_bits(csd.ftl_overprovision));
+  h = fnv1a(h, csd.ftl_journal.enabled ? 1 : 0);
+  h = fnv1a(h, csd.ftl_journal.entry_bytes);
+  h = fnv1a(h, csd.ftl_journal.checkpoint_entry_bytes);
+  h = fnv1a(h, csd.ftl_journal.checkpoint_interval_pages);
+  h = fnv1a(h, csd.zns_zone_blocks);
+  h = fnv1a(h, csd.zns_max_open_zones);
+  h = fnv1a(h, csd.device_dram.count());
+  h = fnv1a(h, csd.queue_depth);
+  h = fnv1a(h, csd.call_queue_depth);
+  h = fnv1a(h, csd.status_queue_depth);
+  h = fnv1a(h, double_bits(csd.controller.doorbell_to_fetch.value()));
+  h = fnv1a(h, double_bits(csd.controller.completion_post.value()));
+  h = fnv1a(h, double_bits(sc.link.bandwidth.value()));
+  h = fnv1a(h, double_bits(sc.link.base_latency.value()));
+  h = fnv1a(h, sc.link.max_payload.count());
+  h = fnv1a(h, double_bits(sc.link.per_chunk_overhead.value()));
+  h = fnv1a(h, sc.host_dram.count());
+  h = fnv1a(h, static_cast<std::uint64_t>(sc.attachment));
+  h = fnv1a(h, double_bits(sc.bar_access_penalty));
+  h = fnv1a(h, static_cast<std::uint64_t>(config.mode));
+  return h;
+}
+
+/// Workers for a call's pool: `jobs`, but no more than the widest batch the
+/// call can run (one task per lane in a wave, one per class in the profile
+/// build), so no thread is started that could never get a task.
+unsigned pool_workers(const ServeConfig& config) {
+  const std::size_t widest =
+      std::max(config.fleet.devices.size() + config.fleet.host_lanes,
+               config.job_classes.size());
+  return static_cast<unsigned>(std::clamp<std::size_t>(
+      config.jobs, 1, std::max<std::size_t>(widest, 1)));
+}
+
+}  // namespace
+
+ProfileSet build_profile_set(const ServeConfig& config, exec::Pool& pool) {
+  ProfileSet set;
+  set.fingerprint_ = profile_fingerprint(config);
+  set.profiles_ = exec::run_batch(
+      pool, config.job_classes.size(),
       [&](std::size_t c) -> std::shared_ptr<const Profile> {
         const auto& jc = config.job_classes[c];
         apps::AppConfig ac;
@@ -94,9 +164,16 @@ std::vector<std::shared_ptr<const Profile>> build_profiles(
           }
         }
         return profile;
-      },
-      config.jobs);
+      });
+  return set;
 }
+
+ProfileSet build_profile_set(const ServeConfig& config) {
+  exec::Pool pool(pool_workers(config));
+  return build_profile_set(config, pool);
+}
+
+namespace {
 
 struct Arrival {
   QueuedJob job;
@@ -273,7 +350,6 @@ struct LaneBid {
 /// is tried instead; only when even that misses is DeadlineExpired
 /// returned.
 Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
-                  const std::vector<SimTime>& kill_at,
                   const std::vector<CircuitBreaker>& breakers,
                   const std::vector<sim::AvailabilitySchedule>& scheds,
                   const Profile& profile, const QueuedJob& job,
@@ -328,7 +404,7 @@ Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
     }
     const SimTime start =
         std::max({fleet.busy_until(lane), job.ready, brk.ready_at()});
-    if (start >= kill_at[lane]) continue;  // lane is dead by then
+    if (start >= fleet.kill_at(lane)) continue;  // lane is dead by then
 
     // The lane's *derated* schedule: base CSE availability scaled down by
     // the lane's observed reclaim pressure.
@@ -407,15 +483,16 @@ Place choose_lane(const Fleet& fleet, const std::vector<bool>& claimed,
   return Place::Ok;
 }
 
-}  // namespace
-
-ServeReport serve(const ServeConfig& config) {
+/// The serving loop proper, on profiles already built for `config` and on
+/// the call's one pool.  The pool stays here: no task is handed it, so no
+/// dispatch can nest a batch on it.
+ServeReport serve_on(const ServeConfig& config, const ProfileSet& profiles,
+                     exec::Pool& pool) {
   ISP_CHECK(!config.tenants.empty(), "serve needs at least one tenant");
   ISP_CHECK(!config.job_classes.empty(), "serve needs at least one job class");
   ISP_CHECK(config.total_jobs >= 1, "serve needs at least one job");
   ISP_CHECK(config.offered_load > 0.0, "offered load must be positive");
 
-  const auto profiles = build_profiles(config);
   const auto arrivals = generate_arrivals(config);
 
   Fleet fleet(config.fleet);
@@ -423,32 +500,27 @@ ServeReport serve(const ServeConfig& config) {
   ServeReport report;
   report.outcomes.resize(config.total_jobs);
 
-  // Per-device kill schedule, fully known before the loop: the explicit
-  // schedule min-folded with a seed-deterministic exponential first arrival
-  // per device when a DeviceFailure rate is armed.  Decisions only ever
-  // *react* to a death (a lane is skipped once its candidate start reaches
-  // its kill instant); they never steer around a future one.
-  std::vector<SimTime> kill_at(fleet.device_count(), SimTime::infinity());
+  // Per-device kill schedule, fully known before the loop and held only by
+  // the fleet (Fleet::kill_at): the explicit schedule min-folded with a
+  // seed-deterministic exponential first arrival per device when a
+  // DeviceFailure rate is armed.  Decisions only ever *react* to a death (a
+  // lane is skipped once its candidate start reaches its kill instant);
+  // they never steer around a future one.
   for (const auto& k : config.kill_devices) {
     ISP_CHECK(k.device < fleet.device_count(),
               "kill-device " << k.device << " is not a CSD lane (fleet has "
                              << fleet.device_count() << " devices)");
     ISP_CHECK(k.at.seconds() >= 0.0, "kill-device time must be non-negative");
-    kill_at[k.device] = std::min(kill_at[k.device], k.at);
+    fleet.set_kill_at(k.device, k.at);
   }
   const double fail_rate = config.fault.rate(fault::Site::DeviceFailure);
   if (fail_rate > 0.0) {
     for (std::size_t k = 0; k < fleet.device_count(); ++k) {
       const double u =
           hash_unit(splitmix64(config.seed ^ (0xDEF1CE00ULL + k)));
-      kill_at[k] = std::min(
-          kill_at[k], SimTime::zero() + Seconds{-std::log1p(-u) / fail_rate});
+      fleet.set_kill_at(
+          k, SimTime::zero() + Seconds{-std::log1p(-u) / fail_rate});
     }
-  }
-  // Mirror the kill schedule into the fleet's incremental index so its
-  // ready-order and feasibility queries skip doomed lanes.
-  for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    if (kill_at[k] < SimTime::infinity()) fleet.set_kill_at(k, kill_at[k]);
   }
 
   // The engine-run memo is exact — serve() output is byte-identical with it
@@ -551,8 +623,8 @@ ServeReport serve(const ServeConfig& config) {
       const auto job = admission.pick();
       Dispatch d;
       const Place placed =
-          choose_lane(fleet, claimed, kill_at, breakers, lane_sched,
-                      *profiles[job->job_class], *job, d);
+          choose_lane(fleet, claimed, breakers, lane_sched,
+                      profiles[job->job_class], *job, d);
       if (placed == Place::DeadlineExpired) {
         // Skip the expired job loudly: typed per-tenant counter, resolved
         // at the deadline — or at the death that re-enqueued it, when the
@@ -594,12 +666,13 @@ ServeReport serve(const ServeConfig& config) {
     }
     if (wave.empty()) break;  // queues drained, no arrivals left
 
-    // Execution phase: worker threads run the already-scheduled engine
-    // simulations; results come back in submission order.  With the memo
-    // cache on, a serial key pass first dedupes the wave against the cache
-    // *and against itself* — only distinct missing keys reach the workers,
-    // and everything folds back in submission order, so the wave's outputs
-    // are byte-identical with the cache off (asserted in serve_test).
+    // Execution phase: the pool's workers (this thread among them) run the
+    // already-scheduled engine simulations; results come back in
+    // submission order.  With the memo cache on, a serial key pass first
+    // dedupes the wave against the cache *and against itself* — only
+    // distinct missing keys reach the workers, and everything folds back in
+    // submission order, so the wave's outputs are byte-identical with the
+    // cache off (asserted in serve_test).
     std::vector<SimResult> results(wave.size());
     if (memo) {
       struct Miss {
@@ -632,12 +705,10 @@ ServeReport serve(const ServeConfig& config) {
         ++report.sim_cache_misses;
       }
       const auto fresh = exec::run_batch(
-          misses.size(),
-          [&](std::size_t m) {
+          pool, misses.size(), [&](std::size_t m) {
             const auto& d = wave[misses[m].first];
-            return simulate_dispatch(config, *profiles[d.job.job_class], d);
-          },
-          config.jobs);
+            return simulate_dispatch(config, profiles[d.job.job_class], d);
+          });
       for (std::size_t m = 0; m < misses.size(); ++m) {
         memo->insert(misses[m].key, fresh[m]);
       }
@@ -647,13 +718,10 @@ ServeReport serve(const ServeConfig& config) {
         }
       }
     } else {
-      results = exec::run_batch(
-          wave.size(),
-          [&](std::size_t i) {
-            return simulate_dispatch(config, *profiles[wave[i].job.job_class],
-                                     wave[i]);
-          },
-          config.jobs);
+      results = exec::run_batch(pool, wave.size(), [&](std::size_t i) {
+        return simulate_dispatch(config, profiles[wave[i].job.job_class],
+                                 wave[i]);
+      });
     }
 
     for (std::size_t i = 0; i < wave.size(); ++i) {
@@ -661,7 +729,7 @@ ServeReport serve(const ServeConfig& config) {
       const auto& r = results[i];
       auto& outcome = report.outcomes[d.job.id];
       const SimTime end = d.start + r.service;
-      const SimTime death = d.on_host ? SimTime::infinity() : kill_at[d.lane];
+      const SimTime death = fleet.kill_at(d.lane);  // infinity on host lanes
       if (end > death) {
         // The lane died under the job: occupancy truncates at the death,
         // the job's work is lost, and the job either re-enters its tenant
@@ -754,8 +822,8 @@ ServeReport serve(const ServeConfig& config) {
   // Deaths that happened inside the observed horizon but caught the lane
   // idle still count as failures.
   for (std::size_t k = 0; k < fleet.device_count(); ++k) {
-    if (fleet.alive(k) && kill_at[k] <= report.makespan) {
-      fleet.mark_dead(k, kill_at[k]);
+    if (fleet.alive(k) && fleet.kill_at(k) <= report.makespan) {
+      fleet.mark_dead(k, fleet.kill_at(k));
     }
   }
 
@@ -968,6 +1036,20 @@ ServeReport serve(const ServeConfig& config) {
     report.snapshots = build_snapshots(report, config.obs);
   }
   return report;
+}
+
+}  // namespace
+
+ServeReport serve(const ServeConfig& config) {
+  exec::Pool pool(pool_workers(config));
+  return serve_on(config, build_profile_set(config, pool), pool);
+}
+
+ServeReport serve(const ServeConfig& config, const ProfileSet& profiles) {
+  ISP_CHECK(profiles.fingerprint() == profile_fingerprint(config),
+            "profile set was built for other job classes, system or mode");
+  exec::Pool pool(pool_workers(config));
+  return serve_on(config, profiles, pool);
 }
 
 std::string ServeReport::to_json() const {

@@ -6,8 +6,10 @@
 //
 //   1. Per job class (app × size), one up-front ActiveCpp pipeline run fixes
 //      the class profile: the Algorithm-1 plan with its estimates, projected
-//      host/CSD latencies, and the Equation-1 data volumes.  Profiles are
-//      computed through exec::run_batch.
+//      host/CSD latencies, and the Equation-1 data volumes.  The profiles
+//      form a ProfileSet value: serve(config) builds one, and a caller that
+//      serves one class mix many times builds it once with
+//      build_profile_set() and passes it to serve(config, profiles).
 //   2. Arrivals are a seed-deterministic Poisson process at `offered_load`
 //      jobs per virtual second; each arrival is admitted into its tenant's
 //      bounded queue or rejected with StatusCode::Overloaded (backpressure —
@@ -16,11 +18,15 @@
 //      claims at most one job per lane — weighted-fair pick, then placement
 //      by Equation 1 under contention (queue wait + CSE availability + the
 //      device's contended link share) across the unclaimed lanes — and only
-//      then do worker threads execute the wave's already-scheduled engine
-//      simulations through exec::run_batch.  Measured service times advance
-//      the lane clocks before the next wave's decisions, so scheduling
-//      decisions never depend on thread timing: the report is byte-identical
-//      across `jobs` values.
+//      then do the workers execute the wave's already-scheduled engine
+//      simulations through exec::run_batch.  One exec::Pool of `jobs`
+//      workers (at most one per lane or job class, whichever is more), the
+//      calling thread among them, serves the profile build and every wave
+//      of the call, so a call starts jobs − 1 threads however many waves
+//      it runs.  Measured service times advance the lane clocks
+//      before the next wave's decisions, so scheduling decisions never
+//      depend on thread timing: the report is byte-identical across `jobs`
+//      values.
 //
 // Every dispatched job is a full engine simulation on its own SystemModel
 // (device CSE availability rebased to the dispatch instant, link bandwidth
@@ -56,6 +62,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,6 +73,10 @@
 #include "serve/admission.hpp"
 #include "serve/breaker.hpp"
 #include "serve/fleet.hpp"
+
+namespace isp::exec {
+class Pool;
+}  // namespace isp::exec
 
 namespace isp::serve {
 
@@ -112,7 +123,8 @@ struct ServeConfig {
   /// Mean arrivals per virtual second (Poisson, seed-deterministic).
   double offered_load = 1.0;
   std::uint64_t seed = 42;
-  /// Worker threads for the simulation batches (never affects the report).
+  /// Workers for the simulation batches, the calling thread included
+  /// (never affects the report).
   unsigned jobs = 1;
   codegen::ExecMode mode = codegen::ExecMode::CompiledNoCopy;
   /// Fault rates applied to every dispatched job, each with its own derived
@@ -280,8 +292,49 @@ struct ServeReport {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// One job class's pipeline products (plan, estimates, measured output
+/// volumes, Equation-1 inputs); defined in server.cpp.
+struct Profile;
+
+/// The class profiles of one ServeConfig: one Profile per job class, in
+/// job-class order.  A value, not a cache — nothing is looked up and nothing
+/// is global.  It carries a fingerprint of the config fields its build
+/// reads (`job_classes`, `fleet.system`, `mode`), and serve(config,
+/// profiles) rejects a set whose fingerprint does not match its config.
+/// Copies share the immutable profiles.
+class ProfileSet {
+ public:
+  [[nodiscard]] std::size_t size() const { return profiles_.size(); }
+  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
+  [[nodiscard]] const Profile& operator[](std::size_t job_class) const {
+    return *profiles_[job_class];
+  }
+
+ private:
+  friend ProfileSet build_profile_set(const ServeConfig& config,
+                                      exec::Pool& pool);
+
+  std::vector<std::shared_ptr<const Profile>> profiles_;
+  std::uint64_t fingerprint_ = 0;
+};
+
+/// Build every class profile: one sampled, planned, functional ActiveCpp
+/// run per job class, fanned over `pool`.
+[[nodiscard]] ProfileSet build_profile_set(const ServeConfig& config,
+                                           exec::Pool& pool);
+/// The same on a pool of up to `config.jobs` workers that lives for this
+/// call.
+[[nodiscard]] ProfileSet build_profile_set(const ServeConfig& config);
+
 /// Run the serving loop to completion (every arrival admitted-and-served or
-/// rejected) and aggregate the report.
+/// rejected) and aggregate the report: build_profile_set(), then serve,
+/// both on one pool of up to `config.jobs` workers.
 [[nodiscard]] ServeReport serve(const ServeConfig& config);
+
+/// Serve from profiles built earlier for a config with the same job
+/// classes, system and mode (ISP_CHECKed through the fingerprint).  The
+/// report is byte-identical to serve(config)'s.
+[[nodiscard]] ServeReport serve(const ServeConfig& config,
+                                const ProfileSet& profiles);
 
 }  // namespace isp::serve

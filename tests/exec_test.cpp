@@ -6,7 +6,10 @@
 //   * the same batch produces byte-identical results at any job count and
 //     across repeated runs — parallelism is a pure wall-clock optimisation;
 //   * a throwing task never leaks a worker thread, and the lowest-index
-//     exception is the one rethrown (again independent of thread timing).
+//     exception is the one rethrown (again independent of thread timing);
+//   * the calling thread is one of a pool's workers: Pool(k) starts k − 1
+//     threads once and reuses them for every batch, Pool(1) starts none,
+//     and a task that nests a batch on its own pool fails loudly.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,8 +19,10 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "exec/cli.hpp"
 #include "exec/pool.hpp"
@@ -194,6 +199,103 @@ TEST(Pool, RapidReuseWithStragglersIsRaceFree) {
   }
   // sum over batches b of (800*b + 28)
   EXPECT_EQ(checksum, 800ull * (199ull * 200ull / 2ull) + 28ull * 200ull);
+}
+
+TEST(Pool, CallerIsAWorkerAcrossTenThousandTinyBatches) {
+  // serve()'s pattern: one pool, thousands of waves of a few tasks each.
+  // Results match a serial run, and the pool's k − 1 threads are the only
+  // ones it ever starts, however many batches it runs.
+  const int before = live_threads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status unavailable";
+  constexpr unsigned kWorkers = 4;
+  const std::uint64_t started = threads_started();
+  Pool pool(kWorkers);
+  EXPECT_EQ(threads_started() - started, kWorkers - 1);
+  EXPECT_EQ(live_threads(), before + static_cast<int>(kWorkers) - 1);
+  for (int batch = 0; batch < 10'000; ++batch) {
+    const auto task = [batch](std::size_t i) {
+      return Rng(static_cast<std::uint64_t>(batch) * 8 + i).next_u64();
+    };
+    const auto parallel = run_batch(pool, 5, task);
+    for (std::size_t i = 0; i < parallel.size(); ++i) {
+      ASSERT_EQ(parallel[i], task(i)) << "batch " << batch << " index " << i;
+    }
+    if (batch % 500 == 0) {
+      ASSERT_EQ(live_threads(), before + static_cast<int>(kWorkers) - 1)
+          << "batch " << batch;
+    }
+  }
+  EXPECT_EQ(threads_started() - started, kWorkers - 1);
+  EXPECT_EQ(live_threads(), before + static_cast<int>(kWorkers) - 1);
+}
+
+TEST(Pool, SingleWorkerStartsNoThreadAndRunsInIndexOrder) {
+  const int before = live_threads();
+  const std::uint64_t started = threads_started();
+  Pool pool(1);
+  EXPECT_EQ(pool.workers(), 1u);
+  EXPECT_EQ(threads_started(), started);
+  if (before >= 0) {
+    EXPECT_EQ(live_threads(), before);
+  }
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(9, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(9);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Pool, CallerRunsTasksAndLowestIndexExceptionStillWins) {
+  Pool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  for (int round = 0; round < 200; ++round) {
+    // Indices 2, 4 and 7 throw; whichever of the caller and the threads
+    // ran each, the rethrown exception is index 2's.
+    try {
+      pool.parallel_for(12, [&](std::size_t i) {
+        if (std::this_thread::get_id() == caller) {
+          on_caller.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (i == 2 || i == 4 || i == 7) {
+          throw std::runtime_error("boom at " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& e) {
+      ASSERT_STREQ(e.what(), "boom at 2") << "round " << round;
+    }
+  }
+  // The caller drains the deques alongside the threads.  Threads may steal
+  // its whole share in any one round, but not in all 200.
+  EXPECT_GT(on_caller.load(), 0);
+}
+
+TEST(Pool, NestedParallelForFailsLoudlyWithoutDeadlock) {
+  for (const unsigned workers : {1U, 4U}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    Pool pool(workers);
+    std::atomic<int> ran{0};
+    try {
+      pool.parallel_for(8, [&](std::size_t i) {
+        if (i == 5) pool.parallel_for(2, [](std::size_t) {});
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+      FAIL() << "expected the reentrancy check to throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("not reentrant"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(ran.load(), 7);  // every other task still ran
+    // The pool is intact afterwards.
+    const auto again = run_batch(pool, 3, [](std::size_t i) { return i; });
+    EXPECT_EQ(again, (std::vector<std::size_t>{0, 1, 2}));
+  }
 }
 
 TEST(Pool, DefaultJobsIsAtLeastOne) { EXPECT_GE(default_jobs(), 1u); }

@@ -11,6 +11,7 @@
 #include "apps/registry.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "exec/pool.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/fleet.hpp"
@@ -859,6 +860,54 @@ TEST(ServeHotpath, TinyMemoCapacityEvictsButStaysExact) {
   EXPECT_GT(tight.sim_cache_evictions, 0u);
   EXPECT_LE(tight.sim_cache_hits, roomy.sim_cache_hits);
   expect_identical(roomy, tight);
+}
+
+// --- ProfileSet: profile once, serve many ---------------------------------
+
+TEST(ServeProfiles, PrebuiltSetServesByteIdentically) {
+  auto config = hot_config(3, 24, 2);
+  const auto profiles = serve::build_profile_set(config);
+  EXPECT_EQ(profiles.size(), config.job_classes.size());
+  expect_identical(serve::serve(config), serve::serve(config, profiles));
+
+  // Knobs the profile build does not read may change between calls that
+  // share one set.
+  config.seed = 7;
+  config.total_jobs = 30;
+  config.jobs = 1;
+  config.sim_cache = false;
+  config.fault.set_rate_all(0.02);
+  expect_identical(serve::serve(config), serve::serve(config, profiles));
+}
+
+TEST(ServeProfiles, MismatchedSetFailsLoudly) {
+  const auto config = hot_config(3, 24, 2);
+  const auto profiles = serve::build_profile_set(config);
+  std::vector<serve::ServeConfig> others(5, config);
+  others[0].job_classes[0].size_factor = 0.2;
+  others[1].job_classes[1].persist = true;
+  others[2].job_classes.push_back(serve::JobClass{});
+  others[3].fleet.system.link.bandwidth = gb_per_s(2.5);
+  others[4].mode = codegen::ExecMode::Interpreted;
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    SCOPED_TRACE("mismatch " + std::to_string(i));
+    EXPECT_THROW((void)serve::serve(others[i], profiles), Error);
+  }
+}
+
+TEST(ServeProfiles, OneCallStartsJobsMinusOneThreads) {
+  for (const unsigned jobs : {1U, 2U, 4U, 8U}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    auto config = hot_config(3, 48, jobs);
+    config.sim_cache = false;  // every dispatch is an engine run
+    const auto before = exec::threads_started();
+    const auto report = serve::serve(config);
+    // 48 dispatches over 4 lanes take at least 12 waves, and the profile
+    // build is one more batch: all of them share the call's one pool.  No
+    // batch has more than 4 tasks, so jobs 8 gets a pool of 4.
+    EXPECT_EQ(exec::threads_started() - before, std::min(jobs, 4U) - 1);
+    EXPECT_EQ(report.completed + report.rejected, report.total_jobs);
+  }
 }
 
 TEST(ServeMemo, FindIsDigestBucketedButKeyVerified) {
