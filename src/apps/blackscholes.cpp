@@ -16,6 +16,10 @@ namespace isp::apps {
 
 namespace {
 
+/// for_blocks pieces: rows per parse piece and options per pricing piece.
+constexpr std::size_t kParseBlock = std::size_t{1} << 14;
+constexpr std::size_t kPriceBlock = std::size_t{1} << 13;
+
 /// Cumulative normal distribution (Abramowitz–Stegun polynomial, the same
 /// approximation the PARSEC kernel uses).
 float cndf(float x) {
@@ -74,18 +78,22 @@ ir::Program make_blackscholes(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<OptionRecord>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<OptionRow>(in.size());
-      auto dst = out.physical.as<OptionRow>();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        OptionRow row;
-        row.spot = static_cast<float>(in[i].spot);
-        row.strike = static_cast<float>(in[i].strike);
-        row.rate = static_cast<float>(in[i].rate);
-        // Defensive clamping stands in for parse-time validation.
-        row.volatility = std::max(static_cast<float>(in[i].volatility), 1e-4F);
-        row.expiry = std::max(static_cast<float>(in[i].expiry), 1e-4F);
-        row.is_call = in[i].is_call;
-        dst[i] = row;
-      }
+      const auto dst = out.physical.as<OptionRow>();
+      ctx.for_blocks(in.size(), kParseBlock, [&](std::size_t begin,
+                                                 std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          OptionRow row;
+          row.spot = static_cast<float>(in[i].spot);
+          row.strike = static_cast<float>(in[i].strike);
+          row.rate = static_cast<float>(in[i].rate);
+          // Defensive clamping stands in for parse-time validation.
+          row.volatility =
+              std::max(static_cast<float>(in[i].volatility), 1e-4F);
+          row.expiry = std::max(static_cast<float>(in[i].expiry), 1e-4F);
+          row.is_call = in[i].is_call;
+          dst[i] = row;
+        }
+      });
     };
     program.add_line(std::move(line));
   }
@@ -104,8 +112,13 @@ ir::Program make_blackscholes(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<OptionRow>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(in.size());
-      auto dst = out.physical.as<float>();
-      for (std::size_t i = 0; i < in.size(); ++i) dst[i] = price_option(in[i]);
+      const auto dst = out.physical.as<float>();
+      ctx.for_blocks(in.size(), kPriceBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         dst[i] = price_option(in[i]);
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }
@@ -122,6 +135,7 @@ ir::Program make_blackscholes(const AppConfig& config) {
     line.chunks = 8;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto prices = ctx.input(0).physical.as<float>();
+      // Serial: a floating reduction, whose bytes depend on addition order.
       double sum = 0.0;
       double sum_sq = 0.0;
       float lo = prices.empty() ? 0.0F : prices[0];

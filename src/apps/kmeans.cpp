@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "apps/data_gen.hpp"
 #include "apps/detail.hpp"
@@ -24,6 +25,8 @@ constexpr std::uint32_t kIterations = 6;
 constexpr std::size_t kFilePointBytes = kDims * sizeof(double);
 /// ...and are normalised into single precision for clustering.
 constexpr std::size_t kPointBytes = kDims * sizeof(float);
+/// Points per for_blocks piece of a labelling pass.
+constexpr std::size_t kPointBlock = std::size_t{1} << 12;
 
 struct Centroids {
   std::array<float, kClusters * kDims> mean;
@@ -73,10 +76,14 @@ ir::Program make_kmeans(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<double>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(in.size());
-      auto dst = out.physical.as<float>();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = static_cast<float>(in[i]) * 0.5F;  // into [-0.5, 0.5)
-      }
+      const auto dst = out.physical.as<float>();
+      ctx.for_blocks(in.size(), detail::kMapBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         // into [-0.5, 0.5)
+                         dst[i] = static_cast<float>(in[i]) * 0.5F;
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }
@@ -122,12 +129,20 @@ ir::Program make_kmeans(const AppConfig& config) {
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto pts = ctx.input(0).physical.as<float>();
       const auto& c_in = ctx.input(1).physical.as<Centroids>()[0];
+      const std::size_t n = pts.size() / kDims;
+      std::vector<std::uint32_t> labels(n);
+      ctx.for_blocks(n, kPointBlock, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          labels[i] = nearest(pts.data() + i * kDims, c_in);
+        }
+      });
+      // Serial, in point order: the double sums are floating reductions,
+      // whose bytes depend on addition order.
       std::array<double, kClusters * kDims> sums{};
       std::array<double, kClusters> counts{};
-      const std::size_t n = pts.size() / kDims;
       for (std::size_t i = 0; i < n; ++i) {
         const float* p = pts.data() + i * kDims;
-        const std::uint32_t k = nearest(p, c_in);
+        const std::uint32_t k = labels[i];
         counts[k] += 1.0;
         for (std::uint32_t j = 0; j < kDims; ++j) {
           sums[k * kDims + j] += p[j];
@@ -165,10 +180,12 @@ ir::Program make_kmeans(const AppConfig& config) {
       const std::size_t n = pts.size() / kDims;
       auto& out = ctx.output(0);
       out.physical.resize_elems<std::uint32_t>(n);
-      auto dst = out.physical.as<std::uint32_t>();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = nearest(pts.data() + i * kDims, c);
-      }
+      const auto dst = out.physical.as<std::uint32_t>();
+      ctx.for_blocks(n, kPointBlock, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          dst[i] = nearest(pts.data() + i * kDims, c);
+        }
+      });
     };
     program.add_line(std::move(line));
   }

@@ -29,6 +29,10 @@ constexpr std::size_t kNodesPerTree = (std::size_t{1} << kDepth) - 1;
 /// level at a time, so their node loads overlap instead of each row's
 /// dependent chain of loads running alone.
 constexpr std::size_t kRowBlock = 8;
+/// Rows per for_blocks piece of forest_predict: whole 8-row blocks.
+constexpr std::size_t kPredictBlock = 128 * kRowBlock;
+/// Margins per for_blocks piece of sigmoid_threshold.
+constexpr std::size_t kSigmoidBlock = std::size_t{1} << 12;
 
 /// Score `count` (at most kRowBlock) consecutive rows into `margins`.  Each
 /// row's margin is summed in tree order, exactly as a row-at-a-time walk
@@ -97,10 +101,13 @@ ir::Program make_lightgbm(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<double>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(in.size());
-      auto dst = out.physical.as<float>();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = static_cast<float>(in[i]);
-      }
+      const auto dst = out.physical.as<float>();
+      ctx.for_blocks(in.size(), detail::kMapBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         dst[i] = static_cast<float>(in[i]);
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }
@@ -121,11 +128,14 @@ ir::Program make_lightgbm(const AppConfig& config) {
       const std::size_t n = feats.size() / kFeatures;
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(n);
-      auto dst = out.physical.as<float>();
-      for (std::size_t i = 0; i < n; i += kRowBlock) {
-        score_block(feats.data() + i * kFeatures,
-                    std::min(kRowBlock, n - i), forest, dst.data() + i);
-      }
+      const auto dst = out.physical.as<float>();
+      ctx.for_blocks(n, kPredictBlock, [&](std::size_t begin,
+                                           std::size_t end) {
+        for (std::size_t i = begin; i < end; i += kRowBlock) {
+          score_block(feats.data() + i * kFeatures,
+                      std::min(kRowBlock, end - i), forest, dst.data() + i);
+        }
+      });
     };
     program.add_line(std::move(line));
   }
@@ -144,11 +154,15 @@ ir::Program make_lightgbm(const AppConfig& config) {
       const auto margins = ctx.input(0).physical.as<float>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<std::uint8_t>(margins.size());
-      auto dst = out.physical.as<std::uint8_t>();
-      for (std::size_t i = 0; i < margins.size(); ++i) {
-        const float p = 1.0F / (1.0F + std::exp(-margins[i]));
-        dst[i] = p >= 0.5F ? 1 : 0;
-      }
+      const auto dst = out.physical.as<std::uint8_t>();
+      ctx.for_blocks(margins.size(), kSigmoidBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         const float p =
+                             1.0F / (1.0F + std::exp(-margins[i]));
+                         dst[i] = p >= 0.5F ? 1 : 0;
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }

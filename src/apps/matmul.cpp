@@ -19,6 +19,8 @@ namespace {
 
 constexpr std::size_t kDim = 32;
 constexpr std::size_t kMatrixBytes = kDim * kDim * sizeof(double);
+/// Matrix pairs per for_blocks piece of the batched multiply.
+constexpr std::size_t kGemmBlock = 16;
 
 void gemm(const double* a, const double* b, double* c) {
   for (std::size_t i = 0; i < kDim; ++i) {
@@ -67,11 +69,14 @@ ir::Program make_matmul(const AppConfig& config) {
       const std::size_t pairs = std::min(a.size(), b.size()) / (kDim * kDim);
       auto& out = ctx.output(0);
       out.physical.resize_elems<double>(pairs * kDim * kDim);
-      auto c = out.physical.as<double>();
-      for (std::size_t p = 0; p < pairs; ++p) {
-        gemm(a.data() + p * kDim * kDim, b.data() + p * kDim * kDim,
-             c.data() + p * kDim * kDim);
-      }
+      const auto c = out.physical.as<double>();
+      ctx.for_blocks(pairs, kGemmBlock, [&](std::size_t begin,
+                                            std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
+          gemm(a.data() + p * kDim * kDim, b.data() + p * kDim * kDim,
+               c.data() + p * kDim * kDim);
+        }
+      });
     };
     program.add_line(std::move(line));
   }
@@ -90,12 +95,15 @@ ir::Program make_matmul(const AppConfig& config) {
       const auto c = ctx.input(0).physical.as<double>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<double>(c.size());
-      auto dst = out.physical.as<double>();
+      const auto dst = out.physical.as<double>();
       constexpr double kAlpha = 0.5;
       constexpr double kBeta = 1.0;
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        dst[i] = kAlpha * c[i] + kBeta;
-      }
+      ctx.for_blocks(c.size(), detail::kMapBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         dst[i] = kAlpha * c[i] + kBeta;
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }
@@ -112,6 +120,7 @@ ir::Program make_matmul(const AppConfig& config) {
     line.chunks = 4;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto c = ctx.input(0).physical.as<double>();
+      // Serial: a floating reduction, whose bytes depend on addition order.
       double sum = 0.0;
       for (const double v : c) sum += v * v;
       auto& out = ctx.output(0);

@@ -19,6 +19,11 @@ namespace {
 constexpr std::size_t kDim = 64;
 constexpr std::size_t kTileBytesF32 = kDim * kDim * sizeof(float);
 constexpr std::size_t kTileBytesBf16 = kDim * kDim * sizeof(std::uint16_t);
+/// for_blocks pieces: tile pairs per GEMM piece, activations per GELU piece
+/// and tiles per reduce piece.
+constexpr std::size_t kGemmBlock = 8;
+constexpr std::size_t kGeluBlock = std::size_t{1} << 14;
+constexpr std::size_t kReduceBlock = 16;
 
 std::uint16_t to_bf16(float v) {
   std::uint32_t bits;
@@ -66,8 +71,13 @@ ir::CodeRegion convert_load_line(const char* in_name, const char* out_name) {
     const auto in = ctx.input(0).physical.as<float>();
     auto& out = ctx.output(0);
     out.physical.resize_elems<std::uint16_t>(in.size());
-    auto dst = out.physical.as<std::uint16_t>();
-    for (std::size_t i = 0; i < in.size(); ++i) dst[i] = to_bf16(in[i]);
+    const auto dst = out.physical.as<std::uint16_t>();
+    ctx.for_blocks(in.size(), detail::kMapBlock,
+                   [&](std::size_t begin, std::size_t end) {
+                     for (std::size_t i = begin; i < end; ++i) {
+                       dst[i] = to_bf16(in[i]);
+                     }
+                   });
   };
   return line;
 }
@@ -108,11 +118,14 @@ ir::Program make_mixedgemm(const AppConfig& config) {
       const std::size_t pairs = std::min(a.size(), b.size()) / (kDim * kDim);
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(pairs * kDim * kDim);
-      auto c = out.physical.as<float>();
-      for (std::size_t p = 0; p < pairs; ++p) {
-        gemm_tile_bf16(a.data() + p * kDim * kDim, b.data() + p * kDim * kDim,
-                       c.data() + p * kDim * kDim);
-      }
+      const auto c = out.physical.as<float>();
+      ctx.for_blocks(pairs, kGemmBlock, [&](std::size_t begin,
+                                            std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
+          gemm_tile_bf16(a.data() + p * kDim * kDim,
+                         b.data() + p * kDim * kDim, c.data() + p * kDim * kDim);
+        }
+      });
     };
     program.add_line(std::move(line));
   }
@@ -131,10 +144,13 @@ ir::Program make_mixedgemm(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<float>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(in.size());
-      auto dst = out.physical.as<float>();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = gelu(in[i] + 0.1F);
-      }
+      const auto dst = out.physical.as<float>();
+      ctx.for_blocks(in.size(), kGeluBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         dst[i] = gelu(in[i] + 0.1F);
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }
@@ -155,18 +171,23 @@ ir::Program make_mixedgemm(const AppConfig& config) {
       const std::size_t tile_count = in.size() / per_tile;
       auto& out = ctx.output(0);
       out.physical.resize_elems<float>(tile_count > 0 ? tile_count : 1);
-      auto dst = out.physical.as<float>();
+      const auto dst = out.physical.as<float>();
       if (tile_count == 0) {
         dst[0] = 0.0F;
         return;
       }
-      for (std::size_t t = 0; t < tile_count; ++t) {
-        float sum = 0.0F;
-        for (std::size_t i = 0; i < per_tile; ++i) {
-          sum += in[t * per_tile + i];
-        }
-        dst[t] = sum / static_cast<float>(per_tile);
-      }
+      // Each tile's sum runs serially in element order; only whole tiles
+      // are spread across pieces, so no sum changes its addition order.
+      ctx.for_blocks(tile_count, kReduceBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t t = begin; t < end; ++t) {
+                         float sum = 0.0F;
+                         for (std::size_t i = 0; i < per_tile; ++i) {
+                           sum += in[t * per_tile + i];
+                         }
+                         dst[t] = sum / static_cast<float>(per_tile);
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }

@@ -47,6 +47,8 @@ const std::uint32_t* csr_cols(const std::byte* base, std::uint64_t v) {
       base + sizeof(CsrHeader) + (v + 1) * sizeof(std::uint64_t));
 }
 
+// Serial: dense ids are assigned in first-seen order, which a split scan
+// cannot reproduce without a serial pass of the same length.
 void build_csr(ir::KernelCtx& ctx, std::uint32_t vertices) {
   const auto edges = ctx.input(0).physical.as<Edge>();
 
@@ -86,6 +88,8 @@ void build_csr(ir::KernelCtx& ctx, std::uint32_t vertices) {
   }
 }
 
+// Serial: the push-scatter adds shares into dst[cols[i]] in source order;
+// split sources would race on a target and change its addition order.
 void rank_iteration(ir::KernelCtx& ctx) {
   const auto* base = ctx.input(0).physical.as<std::byte>().data();
   const auto* header = reinterpret_cast<const CsrHeader*>(base);
@@ -144,11 +148,14 @@ ir::Program make_pagerank(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<EdgeRecord>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<Edge>(in.size());
-      auto dst = out.physical.as<Edge>();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = Edge{static_cast<std::uint32_t>(in[i].src),
-                      static_cast<std::uint32_t>(in[i].dst)};
-      }
+      const auto dst = out.physical.as<Edge>();
+      ctx.for_blocks(in.size(), detail::kMapBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         dst[i] = Edge{static_cast<std::uint32_t>(in[i].src),
+                                       static_cast<std::uint32_t>(in[i].dst)};
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }

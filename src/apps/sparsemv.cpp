@@ -37,6 +37,8 @@ struct Triplet {
 static_assert(sizeof(Triplet) == 12);
 
 constexpr std::uint32_t kIterations = 3;
+/// CSR rows per for_blocks piece of a power step.
+constexpr std::size_t kSpmvBlock = std::size_t{1} << 13;
 
 struct CsrHeader {
   std::uint64_t vertices;  // shared row/col space after compaction
@@ -64,6 +66,8 @@ const float* vals_of(const std::byte* base, std::uint64_t v,
       n * sizeof(std::uint32_t));
 }
 
+// Serial: dense ids are assigned in first-seen order, which a split scan
+// cannot reproduce without a serial pass of the same length.
 void build_csr(ir::KernelCtx& ctx, std::uint32_t ids) {
   const auto triplets = ctx.input(0).physical.as<Triplet>();
 
@@ -115,20 +119,27 @@ void spmv_step(ir::KernelCtx& ctx) {
 
   auto& out = ctx.output(0);
   out.physical.resize_elems<double>(v_count);
-  auto y = out.physical.as<double>();
-  double norm_sq = 0.0;
-  for (std::uint64_t r = 0; r < v_count; ++r) {
-    double acc = 0.0;
-    for (std::uint64_t i = rowptr[r]; i < rowptr[r + 1]; ++i) {
-      const auto c = cols[i];
-      if (c < x.size()) acc += static_cast<double>(vals[i]) * x[c];
+  const auto y = out.physical.as<double>();
+  ctx.for_blocks(v_count, kSpmvBlock, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      double acc = 0.0;
+      for (std::uint64_t i = rowptr[r]; i < rowptr[r + 1]; ++i) {
+        const auto c = cols[i];
+        if (c < x.size()) acc += static_cast<double>(vals[i]) * x[c];
+      }
+      y[r] = acc;
     }
-    y[r] = acc;
-    norm_sq += acc * acc;
-  }
+  });
+  // Serial, in row order: a floating reduction, whose bytes depend on
+  // addition order.
+  double norm_sq = 0.0;
+  for (const double acc : y) norm_sq += acc * acc;
   const double norm = std::sqrt(norm_sq);
   if (norm > 0.0) {
-    for (auto& v : y) v /= norm;
+    ctx.for_blocks(v_count, kSpmvBlock,
+                   [&](std::size_t begin, std::size_t end) {
+                     for (std::size_t r = begin; r < end; ++r) y[r] /= norm;
+                   });
   }
 }
 
@@ -169,11 +180,14 @@ ir::Program make_sparsemv(const AppConfig& config) {
       const auto in = ctx.input(0).physical.as<TripletRecord>();
       auto& out = ctx.output(0);
       out.physical.resize_elems<Triplet>(in.size());
-      auto dst = out.physical.as<Triplet>();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = Triplet{in[i].row, in[i].col,
-                         static_cast<float>(in[i].value)};
-      }
+      const auto dst = out.physical.as<Triplet>();
+      ctx.for_blocks(in.size(), detail::kMapBlock,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         dst[i] = Triplet{in[i].row, in[i].col,
+                                          static_cast<float>(in[i].value)};
+                       }
+                     });
     };
     program.add_line(std::move(line));
   }
@@ -244,6 +258,7 @@ ir::Program make_sparsemv(const AppConfig& config) {
     line.chunks = 4;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto x = ctx.input(0).physical.as<double>();
+      // Serial: a floating reduction, whose bytes depend on addition order.
       double norm_sq = 0.0;
       for (const double v : x) norm_sq += v * v;
       auto& out = ctx.output(0);

@@ -7,6 +7,9 @@
 
 namespace isp::apps {
 
+/// Lineitem rows per for_blocks piece of a query's filter line.
+inline constexpr std::size_t kLineitemFilterBlock = std::size_t{1} << 13;
+
 /// A LINEITEM dataset of `virtual_bytes`, physically scaled per the config.
 /// `part_keys` bounds l_partkey (pass the physical PART row count for Q14).
 [[nodiscard]] ir::Dataset make_lineitem_dataset(const AppConfig& config,

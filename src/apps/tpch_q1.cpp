@@ -61,23 +61,19 @@ ir::Program make_tpch_q1(const AppConfig& config) {
     line.chunks = 128;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto rows = ctx.input(0).physical.as<LineitemRow>();
-      std::size_t kept = 0;
-      for (const auto& row : rows) kept += (row.ship_date <= kCutoff) ? 1 : 0;
-      auto& out = ctx.output(0);
-      out.physical.resize_elems<Q1Row>(kept);
-      auto dst = out.physical.as<Q1Row>();
-      std::size_t i = 0;
-      for (const auto& row : rows) {
-        if (row.ship_date > kCutoff) continue;
-        Q1Row q{};
-        q.quantity = row.quantity;
-        q.extended_price = row.extended_price;
-        q.discount = row.discount;
-        q.tax = row.tax;
-        q.return_flag = row.return_flag;
-        q.line_status = row.line_status;
-        dst[i++] = q;
-      }
+      detail::filter_rows<Q1Row>(
+          ctx, rows, kLineitemFilterBlock, ctx.output(0).physical,
+          [](const LineitemRow& row) { return row.ship_date <= kCutoff; },
+          [](const LineitemRow& row) {
+            Q1Row q{};
+            q.quantity = row.quantity;
+            q.extended_price = row.extended_price;
+            q.discount = row.discount;
+            q.tax = row.tax;
+            q.return_flag = row.return_flag;
+            q.line_status = row.line_status;
+            return q;
+          });
     };
     program.add_line(std::move(line));
   }
@@ -94,6 +90,7 @@ ir::Program make_tpch_q1(const AppConfig& config) {
     line.chunks = 128;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto rows = ctx.input(0).physical.as<Q1Row>();
+      // Serial: floating reductions, whose bytes depend on addition order.
       std::array<Q1Group, 6> groups{};
       for (const auto& row : rows) {
         auto& g = groups[group_index(row.return_flag, row.line_status)];

@@ -45,21 +45,14 @@ ir::Program make_tpch_q14(const AppConfig& config) {
     line.chunks = 128;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto rows = ctx.input(0).physical.as<LineitemRow>();
-      std::size_t kept = 0;
-      for (const auto& row : rows) {
-        kept += (row.ship_date >= kMonthStart && row.ship_date < kMonthEnd)
-                    ? 1
-                    : 0;
-      }
-      auto& out = ctx.output(0);
-      out.physical.resize_elems<Q14Row>(kept);
-      auto dst = out.physical.as<Q14Row>();
-      std::size_t i = 0;
-      for (const auto& row : rows) {
-        if (row.ship_date < kMonthStart || row.ship_date >= kMonthEnd)
-          continue;
-        dst[i++] = {row.extended_price, row.discount, row.part_key, 0};
-      }
+      detail::filter_rows<Q14Row>(
+          ctx, rows, kLineitemFilterBlock, ctx.output(0).physical,
+          [](const LineitemRow& row) {
+            return row.ship_date >= kMonthStart && row.ship_date < kMonthEnd;
+          },
+          [](const LineitemRow& row) {
+            return Q14Row{row.extended_price, row.discount, row.part_key, 0};
+          });
     };
     program.add_line(std::move(line));
   }
@@ -102,6 +95,7 @@ ir::Program make_tpch_q14(const AppConfig& config) {
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto rows = ctx.input(0).physical.as<Q14Row>();
       const auto map = ctx.input(1).physical.as<std::uint8_t>();
+      // Serial: floating reductions, whose bytes depend on addition order.
       double promo = 0.0;
       double total = 0.0;
       for (const auto& row : rows) {

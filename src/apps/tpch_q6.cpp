@@ -51,15 +51,12 @@ ir::Program make_tpch_q6(const AppConfig& config) {
     line.chunks = 128;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto rows = ctx.input(0).physical.as<LineitemRow>();
-      auto& out = ctx.output(0);
-      std::size_t kept = 0;
-      for (const auto& row : rows) kept += q6_match(row) ? 1 : 0;
-      out.physical.resize_elems<Q6Row>(kept);
-      auto dst = out.physical.as<Q6Row>();
-      std::size_t i = 0;
-      for (const auto& row : rows) {
-        if (q6_match(row)) dst[i++] = {row.extended_price, row.discount};
-      }
+      detail::filter_rows<Q6Row>(ctx, rows, kLineitemFilterBlock,
+                                 ctx.output(0).physical, q6_match,
+                                 [](const LineitemRow& row) {
+                                   return Q6Row{row.extended_price,
+                                                row.discount};
+                                 });
     };
     program.add_line(std::move(line));
   }
@@ -76,6 +73,7 @@ ir::Program make_tpch_q6(const AppConfig& config) {
     line.chunks = 8;
     line.kernel = [](ir::KernelCtx& ctx) {
       const auto rows = ctx.input(0).physical.as<Q6Row>();
+      // Serial: a floating reduction, whose bytes depend on addition order.
       double revenue = 0.0;
       for (const auto& row : rows) {
         revenue += row.extended_price * row.discount;

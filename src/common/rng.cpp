@@ -29,43 +29,8 @@ Rng::Rng(std::uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
-  ISP_CHECK(lo <= hi, "empty range");
-  const std::uint64_t span = hi - lo + 1;
-  if (span == 0) return next_u64();  // full 64-bit range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = span * (~0ULL / span);
-  std::uint64_t x;
-  do {
-    x = next_u64();
-  } while (x >= limit);
-  return lo + x % span;
-}
-
-double Rng::uniform(double lo, double hi) {
-  return lo + (hi - lo) * next_double();
+void Rng::fail_empty_range() {
+  detail::raise_check_failure("lo <= hi", __FILE__, __LINE__, "empty range");
 }
 
 double Rng::normal(double mean, double stddev) {

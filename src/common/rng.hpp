@@ -17,17 +17,45 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
+  // The draws are inline: the dataset generators make millions of them,
+  // and a constant range folds uniform_u64's two divisions.
+
   /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, 1).
-  double next_double();
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
-  std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi);
+  std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi) {
+    if (lo > hi) [[unlikely]] fail_empty_range();
+    const std::uint64_t span = hi - lo + 1;
+    if (span == 0) return next_u64();  // full 64-bit range
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t limit = span * (~0ULL / span);
+    std::uint64_t x;
+    do {
+      x = next_u64();
+    } while (x >= limit);
+    return lo + x % span;
+  }
 
   /// Uniform real in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    return lo + (hi - lo) * next_double();
+  }
 
   /// Standard normal via Box–Muller (deterministic, caches the pair).
   double normal(double mean = 0.0, double stddev = 1.0);
@@ -52,6 +80,12 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  /// uniform_u64's error path, out of line.
+  [[noreturn]] static void fail_empty_range();
+
   std::uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

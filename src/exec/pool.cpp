@@ -8,7 +8,14 @@ namespace isp::exec {
 
 namespace {
 std::atomic<std::uint64_t> g_threads_started{0};
+thread_local bool t_in_batch = false;
 }  // namespace
+
+bool in_batch() { return t_in_batch; }
+
+BatchScope::BatchScope() : outer_(t_in_batch) { t_in_batch = true; }
+
+BatchScope::~BatchScope() { t_in_batch = outer_; }
 
 unsigned default_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -126,6 +133,7 @@ bool Pool::steal(std::size_t self, std::size_t& index) {
 
 void Pool::run_one(std::size_t index) {
   try {
+    const BatchScope batch;
     (*task_)(index);
   } catch (...) {
     (*errors_)[index] = std::current_exception();

@@ -5,7 +5,9 @@
 // dataset-scaling ablation, the fuzz matrices) fan out whole simulations of
 // milliseconds and up.  serve() fans out each dispatch wave: a handful of
 // timing-only engine replays of ~60 µs each, wave after wave, on one pool
-// it keeps for the whole call.  `Pool` is a work-stealing pool whose calling
+// it keeps for the whole call.  A functional engine run that is not itself
+// a batch task also owns a pool, for its kernels' data-parallel pieces
+// (in_batch() below).  `Pool` is a work-stealing pool whose calling
 // thread is one of its workers, and `run_batch` the entry point both use:
 // fan N independent tasks across hardware threads while guaranteeing
 // byte-identical output to the serial order.
@@ -55,6 +57,26 @@ namespace isp::exec {
 /// Threads every Pool in this process has started so far (each pool starts
 /// workers() − 1).  Lets tests check how many threads a call created.
 [[nodiscard]] std::uint64_t threads_started();
+
+/// True while the calling thread runs a task of a batch: a task of any
+/// Pool::parallel_for (on whichever thread runs it) or of run_batch's inline
+/// path.  A functional engine run that finds it set keeps its kernels
+/// inline, so batches never nest thread pools (docs/architecture.md,
+/// "Kernel parallelism").
+[[nodiscard]] bool in_batch();
+
+/// Marks the calling thread as inside a batch for the scope's lifetime.
+class BatchScope {
+ public:
+  BatchScope();
+  ~BatchScope();
+
+  BatchScope(const BatchScope&) = delete;
+  BatchScope& operator=(const BatchScope&) = delete;
+
+ private:
+  bool outer_;
+};
 
 /// Work-stealing thread pool with the caller as worker 0.  One instance
 /// serves one caller at a time: parallel_for is not reentrant, and a task
@@ -146,6 +168,7 @@ template <typename Fn>
 auto run_batch(std::size_t n, Fn&& fn, unsigned jobs = default_jobs())
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
   if (jobs <= 1 || n <= 1) {
+    const BatchScope batch;
     std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>>
         results(n);
     for (std::size_t i = 0; i < n; ++i) results[i] = fn(i);

@@ -13,12 +13,14 @@
 // ObjectStore so the exhaustive oracle can replay thousands of placements.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "ir/cost_model.hpp"
 #include "mem/data_object.hpp"
@@ -38,15 +40,24 @@ class ObjectStore {
   std::map<std::string, mem::DataObject> objects_;
 };
 
+/// Runs task(0) … task(n − 1), each exactly once and possibly concurrently,
+/// and returns once every one has finished.  The engine supplies one per
+/// functional run (backed by an exec::Pool) so that ir stays free of the
+/// executor.
+using BlockRunner = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)>& task)>;
+
 /// Kernel execution context: typed access to the line's operands.
 class KernelCtx {
  public:
   KernelCtx(ObjectStore& store, const std::vector<std::string>& inputs,
-            const std::vector<std::string>& outputs, double virtual_scale)
+            const std::vector<std::string>& outputs, double virtual_scale,
+            const BlockRunner* blocks = nullptr)
       : store_(&store),
         inputs_(&inputs),
         outputs_(&outputs),
-        virtual_scale_(virtual_scale) {}
+        virtual_scale_(virtual_scale),
+        blocks_(blocks) {}
 
   [[nodiscard]] const mem::DataObject& input(std::size_t i) const;
   [[nodiscard]] mem::DataObject& output(std::size_t i);
@@ -55,11 +66,35 @@ class KernelCtx {
   /// Virtual bytes per physical byte (for kernels sizing virtual outputs).
   [[nodiscard]] double virtual_scale() const { return virtual_scale_; }
 
+  /// Run fn(begin, end) over [0, n) cut into consecutive pieces of `block`
+  /// elements (the last may be shorter).  With a BlockRunner and at least
+  /// two pieces, the pieces run on it in any order and concurrently;
+  /// otherwise they run inline, in order.  The pieces are the same either
+  /// way, so a kernel whose pieces write disjoint parts of an output it
+  /// sized beforehand produces the same bytes on any number of threads.
+  /// `fn` must not touch the store: take every span before the call (a
+  /// mutable `as<T>()` may detach a shared payload, which is not
+  /// thread-safe).
+  template <typename Fn>
+  void for_blocks(std::size_t n, std::size_t block, Fn&& fn) const {
+    ISP_CHECK(block > 0, "for_blocks needs a positive block size");
+    const std::size_t pieces = (n + block - 1) / block;
+    const auto piece = [&](std::size_t k) {
+      fn(k * block, std::min(n, (k + 1) * block));
+    };
+    if (blocks_ == nullptr || pieces < 2) {
+      for (std::size_t k = 0; k < pieces; ++k) piece(k);
+      return;
+    }
+    (*blocks_)(pieces, piece);
+  }
+
  private:
   ObjectStore* store_;
   const std::vector<std::string>* inputs_;
   const std::vector<std::string>* outputs_;
   double virtual_scale_;
+  const BlockRunner* blocks_;
 };
 
 using Kernel = std::function<void(KernelCtx&)>;

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "exec/pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace isp::runtime {
@@ -129,6 +130,21 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
     external_store = &local_store;
   }
   ir::ObjectStore& store = *external_store;
+
+  // Kernel parallelism: a functional run fans each kernel's for_blocks
+  // pieces across one pool it owns, started at the first kernel with two
+  // or more pieces.  A run that is itself a batch task keeps its kernels
+  // inline (the outermost-only rule), so batches never nest pools.
+  std::optional<exec::Pool> kernel_pool;
+  const ir::BlockRunner fan_out =
+      [&](std::size_t n, const std::function<void(std::size_t)>& task) {
+        if (!kernel_pool) kernel_pool.emplace(exec::default_jobs());
+        kernel_pool->parallel_for(n, task);
+      };
+  const ir::BlockRunner* blocks =
+      options.run_kernels && !exec::in_batch() && exec::default_jobs() > 1
+          ? &fan_out
+          : nullptr;
 
   // Names of storage-backed datasets: re-readable from flash on migration.
   std::set<std::string> dataset_names;
@@ -744,7 +760,7 @@ ExecutionReport Engine::run(const ir::Program& program, const ir::Plan& plan,
     // ---- 5. Kernel + outputs ---------------------------------------------
     if (options.run_kernels && line.kernel) {
       ir::KernelCtx ctx(store, line.inputs, line.outputs,
-                        program.virtual_scale());
+                        program.virtual_scale(), blocks);
       line.kernel(ctx);
       for (const auto& name : line.outputs) {
         auto& obj = store.at(name);

@@ -17,8 +17,10 @@
 //   3. language-runtime marshalling copies (mode-dependent);
 //   4. compute, in chunks, through the CSE availability schedule; each CSD
 //      chunk posts a status update and feeds the monitor;
-//   5. outputs: a functional run executes the real kernel and sizes each
-//      output from the payload it produced; a timing-only replay runs no
+//   5. outputs: a functional run executes the real kernel (fanning its
+//      for_blocks pieces across a pool the run owns, unless the run is
+//      itself a batch task) and sizes each output from the payload it
+//      produced; a timing-only replay runs no
 //      kernel and takes each output's size from a measured OutputVolumes
 //      table (exact), or from the plan's estimates when the caller has no
 //      functional run.  Then output bookkeeping.

@@ -10,12 +10,20 @@
 // unchanged.  The CSR builds of pagerank and sparsemv are further checked
 // byte for byte against an in-test hash-map first-seen remap, on the full
 // store and on each of the sampler's prefix fractions.
+//
+// Kernel parallelism is checked at the same size: a functional run whose
+// kernels fan out across the engine's pool gives the same output bytes as
+// one whose kernels run inline (inside a batch), every data-parallel line
+// spans at least two for_blocks pieces there, its pieces give the same
+// bytes in reverse order, and only an outermost run starts threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +32,7 @@
 #include "apps/registry.hpp"
 #include "common/digest.hpp"
 #include "common/error.hpp"
+#include "exec/pool.hpp"
 #include "profile/sampler.hpp"
 #include "recovery/recovery.hpp"
 #include "runtime/engine.hpp"
@@ -100,25 +109,158 @@ TEST_P(GoldenOutputs, DatasetsAndKernelOutputsMatch) {
   EXPECT_EQ(functional_output_digest(program), golden.outputs);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllApps, GoldenOutputs, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<Golden>& info) {
-      std::string name = info.param.app;
-      for (auto& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+/// gtest parameter name: the app name with '-' as '_'.
+std::string app_param_name(const ::testing::TestParamInfo<Golden>& info) {
+  std::string name = info.param.app;
+  for (auto& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
 
-// ---- CSR oracle ------------------------------------------------------------
+INSTANTIATE_TEST_SUITE_P(AllApps, GoldenOutputs, ::testing::ValuesIn(kGolden),
+                         app_param_name);
 
-/// Run line `i` of the program's kernels directly on `store`.
+/// Run line `i` of the program's kernels directly on `store`, with
+/// `blocks` as the kernel's BlockRunner (none: every piece inline).
 void run_line(const ir::Program& program, ir::ObjectStore& store,
-              std::size_t i) {
+              std::size_t i, const ir::BlockRunner* blocks = nullptr) {
   const auto& line = program.lines()[i];
-  ir::KernelCtx ctx(store, line.inputs, line.outputs, program.virtual_scale());
+  ir::KernelCtx ctx(store, line.inputs, line.outputs, program.virtual_scale(),
+                    blocks);
   line.kernel(ctx);
 }
+
+// ---- Kernel parallelism ----------------------------------------------------
+
+/// The data-parallel lines of each app, by the call in the line's name
+/// ("x = call(args)"; the TPC-H filters read "rows = lineitem[pred]").
+/// Every other line keeps its kernel serial.
+const std::vector<std::pair<std::string, std::set<std::string>>>&
+parallel_lines() {
+  static const std::vector<std::pair<std::string, std::set<std::string>>>
+      table = {
+          {"blackscholes", {"parse", "black_scholes"}},
+          {"kmeans", {"load_normalize", "assign_update", "assign"}},
+          {"lightgbm", {"load_f32", "forest_predict", "sigmoid_threshold"}},
+          {"matrixmul", {"batch_matmul", "alpha_c_plus_beta"}},
+          {"mixedgemm",
+           {"load_bf16", "batch_gemm_bf16", "bias_gelu", "reduce_tiles"}},
+          {"pagerank", {"load_narrow"}},
+          {"tpch-q1", {"lineitem"}},
+          {"tpch-q6", {"lineitem"}},
+          {"tpch-q14", {"lineitem"}},
+          {"sparsemv", {"load_narrow", "normalize"}},
+      };
+  return table;
+}
+
+/// "x = call(args)" -> "call".
+std::string call_of(const std::string& line_name) {
+  const auto start = line_name.find("= ") + 2;
+  return line_name.substr(start,
+                          line_name.find_first_of("([", start) - start);
+}
+
+/// Digest of a run inside a one-job batch: the outermost-only rule keeps
+/// every kernel inline.
+std::uint64_t inline_output_digest(const ir::Program& program) {
+  return exec::run_batch(
+             1, [&](std::size_t) { return functional_output_digest(program); },
+             1)
+      .front();
+}
+
+class KernelParallelism : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(KernelParallelism, FannedOutRunMatchesInlineRun) {
+  const auto program = make_app(GetParam().app, golden_config());
+  ASSERT_FALSE(exec::in_batch());
+  const auto started = exec::threads_started();
+  const auto fanned = functional_output_digest(program);
+  if (exec::default_jobs() > 1) {
+    EXPECT_GT(exec::threads_started(), started) << "no kernel fanned out";
+  }
+  EXPECT_EQ(fanned, inline_output_digest(program));
+  EXPECT_EQ(fanned, GetParam().outputs);
+}
+
+TEST_P(KernelParallelism, ParallelLinesSpanTwoPiecesInAnyOrder) {
+  const auto program = make_app(GetParam().app, golden_config());
+  const auto& expected = std::find_if(
+      parallel_lines().begin(), parallel_lines().end(),
+      [&](const auto& entry) { return entry.first == GetParam().app; });
+  ASSERT_NE(expected, parallel_lines().end());
+
+  // A runner that runs each batch of pieces backwards and keeps the
+  // largest batch per line.
+  std::size_t most = 0;
+  const ir::BlockRunner backwards =
+      [&](std::size_t n, const std::function<void(std::size_t)>& task) {
+        most = std::max(most, n);
+        for (std::size_t k = n; k-- > 0;) task(k);
+      };
+  auto store = program.make_store();
+  std::set<std::string> fanned;
+  for (std::size_t i = 0; i < program.line_count(); ++i) {
+    most = 0;
+    run_line(program, store, i, &backwards);
+    const auto call = call_of(program.lines()[i].name);
+    if (expected->second.count(call) > 0) {
+      EXPECT_GE(most, 2u) << program.lines()[i].name;
+      fanned.insert(call);
+    } else {
+      EXPECT_EQ(most, 0u) << program.lines()[i].name << " is not listed";
+    }
+  }
+  EXPECT_EQ(fanned, expected->second);
+  EXPECT_EQ(recovery::digest_outputs(program, store), GetParam().outputs);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, KernelParallelism,
+                         ::testing::ValuesIn(kGolden), app_param_name);
+
+TEST(KernelThreads, RunInsideABatchStartsNoThread) {
+  const auto program = make_app("mixedgemm", golden_config());
+  auto started = exec::threads_started();
+  (void)inline_output_digest(program);
+  EXPECT_EQ(exec::threads_started(), started);
+
+  // A task of a pool's batch, on a worker thread or on the calling one:
+  // only the batch's own pool starts threads.
+  for (const unsigned workers : {1u, 2u}) {
+    started = exec::threads_started();
+    exec::Pool pool(workers);
+    const auto digests = exec::run_batch(pool, 2, [&](std::size_t) {
+      return functional_output_digest(program);
+    });
+    EXPECT_EQ(exec::threads_started() - started, workers - 1);
+    EXPECT_EQ(digests[0], digests[1]);
+  }
+}
+
+TEST(KernelThreads, RunBelowTwoPiecesStartsNoThread) {
+  AppConfig tiny = golden_config();
+  tiny.size_factor = 1e-4;
+  for (const auto& app : all_apps()) {
+    const auto program = make_app(app.name, tiny);
+    const auto started = exec::threads_started();
+    (void)functional_output_digest(program);
+    EXPECT_EQ(exec::threads_started(), started) << app.name;
+  }
+}
+
+TEST(KernelThreads, FannedOutRunStartsOnePoolAtMost) {
+  for (const auto& app : all_apps()) {
+    const auto program = make_app(app.name, golden_config());
+    const auto started = exec::threads_started();
+    (void)functional_output_digest(program);
+    EXPECT_LE(exec::threads_started() - started, exec::default_jobs() - 1)
+        << app.name;
+  }
+}
+
+// ---- CSR oracle ------------------------------------------------------------
 
 /// Reference compaction: dense ids in first-seen order, src/row before
 /// dst/col, through a hash map.

@@ -9,7 +9,9 @@
 //     exception is the one rethrown (again independent of thread timing);
 //   * the calling thread is one of a pool's workers: Pool(k) starts k − 1
 //     threads once and reuses them for every batch, Pool(1) starts none,
-//     and a task that nests a batch on its own pool fails loudly.
+//     and a task that nests a batch on its own pool fails loudly;
+//   * in_batch() is set exactly while a thread runs a batch task, on every
+//     path (pool workers, the calling worker, run_batch's inline path).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -296,6 +298,51 @@ TEST(Pool, NestedParallelForFailsLoudlyWithoutDeadlock) {
     const auto again = run_batch(pool, 3, [](std::size_t i) { return i; });
     EXPECT_EQ(again, (std::vector<std::size_t>{0, 1, 2}));
   }
+}
+
+/// run_batch result slot (std::vector<bool> is ruled out).
+struct Flag {
+  bool set = false;
+};
+
+TEST(InBatch, SetInEveryBatchTaskAndClearedAfter) {
+  EXPECT_FALSE(in_batch());
+  for (const unsigned jobs : {1u, 4u}) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{64}}) {
+      const auto flags = run_batch(
+          n, [](std::size_t) { return Flag{in_batch()}; }, jobs);
+      for (const auto& f : flags) EXPECT_TRUE(f.set) << jobs << " " << n;
+      EXPECT_FALSE(in_batch());
+    }
+  }
+  for (const unsigned workers : {1u, 3u}) {
+    Pool pool(workers);
+    const auto flags =
+        run_batch(pool, 64, [](std::size_t) { return Flag{in_batch()}; });
+    for (const auto& f : flags) EXPECT_TRUE(f.set) << workers;
+    EXPECT_FALSE(in_batch());
+  }
+}
+
+TEST(InBatch, ScopesNestAndRestoreTheOuterValue) {
+  EXPECT_FALSE(in_batch());
+  {
+    const BatchScope outer;
+    EXPECT_TRUE(in_batch());
+    {
+      const BatchScope inner;
+      EXPECT_TRUE(in_batch());
+    }
+    EXPECT_TRUE(in_batch());
+  }
+  EXPECT_FALSE(in_batch());
+  // A throwing task leaves the flag as it found it.
+  EXPECT_THROW(run_batch(
+                   2,
+                   [](std::size_t) -> int { throw std::runtime_error("x"); },
+                   2),
+               std::runtime_error);
+  EXPECT_FALSE(in_batch());
 }
 
 TEST(Pool, DefaultJobsIsAtLeastOne) { EXPECT_GE(default_jobs(), 1u); }

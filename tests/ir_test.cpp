@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "ir/complexity.hpp"
@@ -197,6 +202,45 @@ TEST(Program, KernelProducesOutput) {
   program.lines()[0].kernel(ctx);
   EXPECT_TRUE(store.contains("out"));
   EXPECT_EQ(store.at("out").physical.size_as<float>(), 128u);
+}
+
+/// Pieces for_blocks hands `fn`, in call order.
+using Pieces = std::vector<std::pair<std::size_t, std::size_t>>;
+
+Pieces pieces_of(const KernelCtx& ctx, std::size_t n, std::size_t block) {
+  Pieces seen;
+  ctx.for_blocks(n, block, [&](std::size_t begin, std::size_t end) {
+    seen.emplace_back(begin, end);
+  });
+  return seen;
+}
+
+TEST(ForBlocks, WithoutRunnerRunsFixedPiecesInlineInOrder) {
+  ObjectStore store;
+  const std::vector<std::string> none;
+  const KernelCtx ctx(store, none, none, 1.0);
+  EXPECT_EQ(pieces_of(ctx, 10, 4), (Pieces{{0, 4}, {4, 8}, {8, 10}}));
+  EXPECT_EQ(pieces_of(ctx, 8, 4), (Pieces{{0, 4}, {4, 8}}));
+  EXPECT_EQ(pieces_of(ctx, 3, 4), (Pieces{{0, 3}}));
+  EXPECT_TRUE(pieces_of(ctx, 0, 4).empty());
+  EXPECT_THROW(pieces_of(ctx, 10, 0), Error);
+}
+
+TEST(ForBlocks, RunnerGetsTheSamePiecesOnlyFromTwoPiecesOn) {
+  ObjectStore store;
+  const std::vector<std::string> none;
+  std::vector<std::size_t> calls;
+  // Runs the tasks backwards: the pieces, not their order, are the contract.
+  const BlockRunner backwards =
+      [&](std::size_t n, const std::function<void(std::size_t)>& task) {
+        calls.push_back(n);
+        for (std::size_t k = n; k-- > 0;) task(k);
+      };
+  const KernelCtx ctx(store, none, none, 1.0, &backwards);
+  EXPECT_EQ(pieces_of(ctx, 10, 4), (Pieces{{8, 10}, {4, 8}, {0, 4}}));
+  EXPECT_EQ(pieces_of(ctx, 4, 4), (Pieces{{0, 4}}));
+  EXPECT_TRUE(pieces_of(ctx, 0, 4).empty());
+  EXPECT_EQ(calls, (std::vector<std::size_t>{3}));
 }
 
 TEST(Plan, Helpers) {
